@@ -15,6 +15,7 @@ analytic functions on a refined grid.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -80,11 +81,12 @@ class GridSpec:
         Ns = tuple(int(x) for x in (points if isinstance(points, Iterable) else (points,) * dim))
         return cls(dim, Ls, Ns)
 
-    @property
+    # cached in the instance __dict__; equality, hashing and to_dict read only the fields
+    @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(2.0 * L / N for L, N in zip(self.half_extents, self.points))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 

@@ -171,7 +171,16 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _lebesgue_of_cells(a: np.ndarray, cell: float, p: float) -> float:
+def _lebesgue_of_cells(a: np.ndarray, cell: float, p: float, axis=None):
+    """Lebesgue norm of a step function with cells of measure `cell`, values a.
+
+    With an axis, one norm per slice along it.  The roots are then taken one
+    scalar at a time, so each equals the norm of its slice alone bit for bit
+    (numpy's vectorised power may differ from the scalar one in the last bit).
+    """
+    if axis is not None:
+        sums = np.sum(a ** p, axis=axis) * cell
+        return np.reshape([s ** (1.0 / p) for s in sums.ravel().tolist()], sums.shape)
     if a.size == 0:
         return 0.0
     return float((np.sum(a ** p) * cell) ** (1.0 / p))

@@ -4,6 +4,13 @@ Differences are taken along one axis with shifts that are integer multiples of
 the grid spacing; points shifted outside the box contribute zero (no circular
 wraparound).  The corpus functions vanish near the boundary, so this matches
 the behaviour of the underlying functions on the whole space up to tail mass.
+A shift by m >= N cells, N the points on the axis, moves the box off itself:
+the difference is exactly -f and its norm is the norm of f.
+
+difference_norms is the one kernel behind every difference norm here: the
+moduli of smoothness, the Besov sums and the 1-d tail integrals all read
+from it.  Moduli come from one table of signed running maxima, which stops
+at shift N since the modulus is constant beyond it.
 
 Besov-type quantities integrate h^(-alpha) times a difference norm against
 dh/h over a geometric h-window.  Outside the window the integral is completed
@@ -23,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .gridfn import GridFunction, GridSpec
-from .norms import NormSpec, format_norm, norm_of_values, parse_norm
+from .norms import (Lebesgue, NormSpec, _lebesgue_of_cells, format_norm, norm_of_values,
+                    parse_norm)
 from .quadrature import log_midpoint_nodes
 from .rearrange import decreasing_rearrangement, double_star
 
@@ -43,6 +51,11 @@ log = logging.getLogger(__name__)
 DEFAULT_RATIO = 2.0 ** 0.125
 
 
+def _check_axis(f: GridFunction, axis) -> None:
+    if not 0 <= axis < f.spec.dim:
+        raise ValueError(f"axis {axis} out of range for dim {f.spec.dim}")
+
+
 def _shift_multiple(f: GridFunction, axis, h) -> int:
     step = f.spec.spacing[axis]
     m = h / step
@@ -52,43 +65,108 @@ def _shift_multiple(f: GridFunction, axis, h) -> int:
     return m_int
 
 
-def _shifted_values(values: np.ndarray, axis, m: int) -> np.ndarray:
-    """Samples of x -> f(x + m h e_axis), zero outside the box."""
-    out = np.zeros_like(values)
-    n = values.shape[axis]
-    if abs(m) >= n:
-        return out
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
+def _integer_multiples(multiples) -> np.ndarray:
+    ms = np.asarray(multiples)
+    if ms.ndim != 1 or ms.dtype.kind not in "iuf":
+        raise ValueError(f"shift multiples must be a 1-d sequence of integers, got {multiples!r}")
+    if ms.dtype.kind == "f" and not (np.isfinite(ms).all() and (ms == np.round(ms)).all()):
+        raise ValueError(f"shift multiples must be integers, got {multiples!r}")
+    return ms.astype(np.int64)
+
+
+def _difference_values(values: np.ndarray, axis, m: int) -> np.ndarray:
+    """Samples of f(x + m h e_axis) - f(x), zero fill outside the box.
+
+    Only the overlap is subtracted; the tail is 0 - f, so every value equals
+    that of the zero-filled shift minus f bit for bit.
+    """
+    out = np.empty_like(values)
+    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    n = v.shape[0]
+    k = min(abs(m), n)
     if m >= 0:
-        dst[axis] = slice(0, n - m)
-        src[axis] = slice(m, n)
+        np.subtract(v[k:], v[:n - k], out=o[:n - k])
+        np.subtract(0.0, v[n - k:], out=o[n - k:])
     else:
-        dst[axis] = slice(-m, n)
-        src[axis] = slice(0, n + m)
-    out[tuple(dst)] = values[tuple(src)]
+        np.subtract(v[:n - k], v[k:], out=o[k:])
+        np.subtract(0.0, v[:k], out=o[:k])
     return out
 
 
 def difference(f: GridFunction, axis, h) -> GridFunction:
     """f(. + h e_axis) - f; h must be a (signed) multiple of the axis spacing."""
-    if not 0 <= axis < f.spec.dim:
-        raise ValueError(f"axis {axis} out of range")
+    _check_axis(f, axis)
     m = _shift_multiple(f, axis, h)
-    return GridFunction(f.spec, _shifted_values(f.values, axis, m) - f.values, f.kind)
+    return GridFunction(f.spec, _difference_values(f.values, axis, m), f.kind)
+
+
+# Elements of one batch of 1-d difference rows; bounds the kernel's scratch memory.
+_BATCH_ELEMENTS = 1 << 17
+
+
+def _lebesgue_rows(values: np.ndarray, ms: np.ndarray, cell: float, p: float) -> np.ndarray:
+    """Lebesgue p norms of the 1-d differences at the in-box shifts ms (0 < |m| < N).
+
+    Row m of the window view of the zero-padded samples is the shifted
+    function, so each batch is one gather, one subtraction and one reduction.
+    """
+    n = values.size
+    padded = np.concatenate((np.zeros(n), values, np.zeros(n)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n)
+    rows = max(1, _BATCH_ELEMENTS // n)
+    out = np.empty(ms.size)
+    for lo in range(0, ms.size, rows):
+        batch = windows[n + ms[lo:lo + rows]]
+        batch -= values
+        np.abs(batch, out=batch)
+        out[lo:lo + rows] = _lebesgue_of_cells(batch, cell, p, axis=1)
+    return out
 
 
 def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.ndarray:
-    """Norms of the differences at the given (signed, integer) shift multiples."""
+    """Norms of f(. + m h e_axis) - f at the given shift multiples m.
+
+    Contract: axis lies in [0, dim), every multiple is an integer (integral
+    floats are accepted; any other value raises ValueError), and points
+    shifted outside the box count as zero.  Shift 0 has norm 0.  For |m| >= N,
+    N the points on the axis, the difference is exactly -f, so its norm is
+    the norm of f, computed once per call.  Other shifts subtract on the
+    overlap only; with a 1-d Lebesgue base they are reduced in batches.
+    """
     if isinstance(base, str):
         base = parse_norm(base)
-    vals = f.values
-    out = np.empty(len(multiples))
-    for i, m in enumerate(multiples):
-        m = int(m)
-        diff = _shifted_values(vals, axis, m) - vals if m else np.zeros(1)
-        out[i] = norm_of_values(diff, f.spec, base) if m else 0.0
+    _check_axis(f, axis)
+    ms = _integer_multiples(multiples)
+    grid, vals = f.spec, f.values
+    n = grid.points[axis]
+    out = np.zeros(ms.size)
+    outside = np.abs(ms) >= n
+    if outside.any():
+        out[outside] = norm_of_values(vals, grid, base)
+    inside = np.flatnonzero((ms != 0) & ~outside)
+    if grid.dim == 1 and isinstance(base, Lebesgue):
+        out[inside] = _lebesgue_rows(vals, ms[inside], grid.cell_volume, base.p)
+    else:
+        for i in inside:
+            out[i] = norm_of_values(_difference_values(vals, axis, int(ms[i])), grid, base)
     return out
+
+
+def _moduli(f: GridFunction, axis, base: NormSpec, ms) -> tuple[np.ndarray, np.ndarray]:
+    """Moduli of smoothness at the positive shift multiples ms.
+
+    Builds the one table of signed running maxima: it evaluates every shift
+    1 <= |j| <= J once, J = min(max(ms), N), since all shifts with |j| >= N
+    have the same norm.  Returns (omega, pos): omega[i] is the largest
+    difference norm over 1 <= |j| <= ms[i], and pos[j - 1] the norm at +j.
+    """
+    ms = np.asarray(ms)
+    top = min(int(ms.max()), f.spec.points[axis])
+    js = np.arange(1, top + 1)
+    both = difference_norms(f, axis, np.concatenate((js, -js)), base)
+    pos = both[:top]
+    running = np.maximum.accumulate(np.maximum(pos, both[top:]))
+    return running[np.minimum(ms, top) - 1], pos
 
 
 def modulus(f: GridFunction, axis, t, base: NormSpec) -> float:
@@ -99,10 +177,7 @@ def modulus(f: GridFunction, axis, t, base: NormSpec) -> float:
     m_max = int(math.floor(t / step + 1e-9))
     if m_max == 0:
         return 0.0
-    ms = np.arange(1, m_max + 1)
-    pos = difference_norms(f, axis, ms, base)
-    neg = difference_norms(f, axis, -ms, base)
-    return float(max(pos.max(), neg.max()))
+    return float(_moduli(f, axis, base, [m_max])[0][0])
 
 
 @dataclass(frozen=True)
@@ -177,12 +252,7 @@ def besov_seminorm(f: GridFunction, spec: BesovSpec, deriv: Optional[GridFunctio
 
     ms, weights = _snapped_nodes(h_min, h_max, spec.ratio, step)
     if spec.use_modulus and ms.size:
-        m_top = int(ms[-1])
-        all_ms = np.arange(1, m_top + 1)
-        pos = difference_norms(f, spec.axis, all_ms, spec.base)
-        neg = difference_norms(f, spec.axis, -all_ms, spec.base)
-        running = np.maximum.accumulate(np.maximum(pos, neg))
-        d = running[ms - 1]
+        d = _moduli(f, spec.axis, spec.base, ms)[0]
     else:
         d = difference_norms(f, spec.axis, ms, spec.base)
     hs = ms * step
@@ -215,7 +285,6 @@ def ulyanov_pointwise(f: GridFunction, p: float, t: float) -> tuple[float, float
         raise ValueError("t must be positive")
     prof = decreasing_rearrangement(f)
     lhs = double_star(prof, t) - prof.value_at(t)
-    from .norms import Lebesgue
     rhs = 2.0 * t ** (-1.0 / p) * modulus(f, 0, t, Lebesgue(p))
     return float(lhs), float(rhs)
 
@@ -232,7 +301,6 @@ def ulyanov_tail(f: GridFunction, p: float, t: float, ratio=DEFAULT_RATIO) -> tu
         raise ValueError("defined for 1-d functions")
     if t <= 0:
         raise ValueError("t must be positive")
-    from .norms import Lebesgue
     base = Lebesgue(p)
     grid = f.spec
     step = grid.spacing[0]
@@ -244,12 +312,7 @@ def ulyanov_tail(f: GridFunction, p: float, t: float, ratio=DEFAULT_RATIO) -> tu
     if t < s_max:
         ms, weights = _snapped_nodes(t, s_max, ratio, step)
         if ms.size:
-            m_top = int(ms[-1])
-            all_ms = np.arange(1, m_top + 1)
-            pos = difference_norms(f, 0, all_ms, base)
-            neg = difference_norms(f, 0, -all_ms, base)
-            running = np.maximum.accumulate(np.maximum(pos, neg))
-            omega = running[ms - 1]
+            omega = _moduli(f, 0, base, ms)[0]
             ss = ms * step
             finite = float(np.sum(ss ** (-1.0 / p) * omega * weights))
     fnorm = norm_of_values(f.values, grid, base)

@@ -1,5 +1,7 @@
 """Grids, analytic families, sampling, and seeded corpus generation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,18 @@ def test_grid_spec_refine_and_drop_axis():
 def test_grid_spec_dict_roundtrip():
     g = GridSpec(3, (4.0, 4.0, 2.0), (16, 16, 8))
     assert GridSpec.from_dict(g.to_dict()) == g
+
+
+def test_grid_spec_cached_geometry_keeps_identity():
+    g = GridSpec(3, (4.0, 4.0, 2.0), (16, 16, 8))
+    assert (g.spacing, g.cell_volume) == ((0.5, 0.5, 0.5), 0.125)
+    fresh = GridSpec(3, (4.0, 4.0, 2.0), (16, 16, 8))
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert g.to_dict() == fresh.to_dict()
+    for copy in (GridSpec.from_dict(g.to_dict()), pickle.loads(pickle.dumps(g))):
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert (copy.spacing, copy.cell_volume) == (g.spacing, g.cell_volume)
+    assert {g: 1}[fresh] == 1
 
 
 # -- grid functions ----------------------------------------------------------

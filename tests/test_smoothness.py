@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from ineqkit.gridfn import FamilySpec, GridFunction, GridSpec, sample_member
-from ineqkit.norms import Lebesgue, lp_norm
+from ineqkit import smoothness
+from ineqkit.gridfn import FamilySpec, GridFunction, GridSpec, corpus_generate, sample_member
+from ineqkit.norms import Lebesgue, lp_norm, norm_of_values, parse_norm
 from ineqkit.smoothness import (BesovSpec, besov_seminorm, difference,
                                 difference_norms, modulus, ulyanov_pointwise,
                                 ulyanov_tail)
 from ineqkit.gridfn import dilate_family
+
+from conftest import SEED
 
 
 def manual_difference(values, m):
@@ -54,6 +57,95 @@ def test_difference_norms_batch(corpus1):
     for m, v in zip(ms[1:], vals[1:]):
         assert v == pytest.approx(lp_norm(difference(f, 0, m * step), 2.0),
                                   rel=1e-12)
+
+
+def _naive_difference_norms(f, axis, multiples, base):
+    """Reference loop: zero-filled shift, full subtraction, one norm per shift."""
+    vals = f.values
+    n = vals.shape[axis]
+    out = np.empty(len(multiples))
+    for i, m in enumerate(multiples):
+        m = int(m)
+        shifted = np.zeros_like(vals)
+        if 0 < abs(m) < n:
+            src = [slice(None)] * vals.ndim
+            dst = [slice(None)] * vals.ndim
+            if m > 0:
+                dst[axis], src[axis] = slice(0, n - m), slice(m, n)
+            else:
+                dst[axis], src[axis] = slice(-m, n), slice(0, n + m)
+            shifted[tuple(dst)] = vals[tuple(src)]
+        out[i] = norm_of_values(shifted - vals, f.spec, base) if m else 0.0
+    return out
+
+
+def _oracle_shifts(n):
+    return np.array([0, 1, -1, n - 1, 1 - n, n, -n, 2 * n, -2 * n, 3, -5])
+
+
+@pytest.mark.parametrize("grid, bases", [
+    # 512 points: the in-box shifts span several batches of the 1-d kernel
+    (GridSpec.box(1, 8.0, 512), ["Leb(1)", "Leb(2)", "Lor(1.5,1)"]),
+    (GridSpec.box(2, 4.0, 16), ["Leb(1)", "Leb(2)", "Lor(1.5,1)",
+                                "Mix(0;Leb(1);Lor(1.5,1))", "Mix(1;Leb(1);Lor(1.5,1))"]),
+    (GridSpec.box(3, 4.0, 8), ["Leb(1)", "Leb(2)", "Lor(1.5,1)",
+                               "Mix(0;Leb(1);Lor(1.5,1))", "Mix(2;Leb(1);Lor(1.5,1))"]),
+])
+def test_difference_norms_match_naive_loop(grid, bases):
+    members = corpus_generate(SEED, 3, grid)
+    for text in bases:
+        base = parse_norm(text)
+        for member in members:
+            for axis in range(grid.dim):
+                n = grid.points[axis]
+                ms = np.arange(-2 * n, 2 * n + 1) if grid.dim == 1 else _oracle_shifts(n)
+                got = difference_norms(member.f, axis, ms, base)
+                want = _naive_difference_norms(member.f, axis, ms, base)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                           err_msg=f"{text} axis {axis}")
+
+
+def test_difference_norms_batch_boundary(corpus1, monkeypatch):
+    # a batch of 7 rows: the 2(N - 1) in-box shifts end mid-batch
+    monkeypatch.setattr(smoothness, "_BATCH_ELEMENTS", 7 * corpus1[0].grid.points[0])
+    f = corpus1[4].f
+    ms = np.arange(-300, 301)
+    for p in (1.0, 2.0):
+        got = difference_norms(f, 0, ms, Lebesgue(p))
+        want = _naive_difference_norms(f, 0, ms, Lebesgue(p))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_difference_norms_reject_bad_input(corpus1, corpus2):
+    f = corpus1[0].f
+    with pytest.raises(ValueError):
+        difference_norms(f, 0, [1.5], Lebesgue(1.0))
+    with pytest.raises(ValueError):
+        difference_norms(f, 0, [np.nan], Lebesgue(1.0))
+    for axis in (-1, 1):
+        with pytest.raises(ValueError):
+            difference_norms(f, axis, [1], Lebesgue(1.0))
+    with pytest.raises(ValueError):
+        difference_norms(corpus2[0].f, 2, [1], Lebesgue(1.0))
+    # integral floats are integer multiples
+    assert np.array_equal(difference_norms(f, 0, [2.0, -3.0], Lebesgue(1.0)),
+                          difference_norms(f, 0, [2, -3], Lebesgue(1.0)))
+
+
+def test_modulus_cost_is_capped_at_the_box(corpus1, monkeypatch):
+    f = corpus1[2].f
+    n, step = f.spec.points[0], f.spec.spacing[0]
+    base = Lebesgue(1.0)
+    shifts = []
+
+    def counting(g, axis, multiples, b):
+        shifts.append(len(multiples))
+        return difference_norms(g, axis, multiples, b)
+
+    monkeypatch.setattr(smoothness, "difference_norms", counting)
+    far = modulus(f, 0, 1e6 * f.spec.half_extents[0], base)
+    assert 0 < sum(shifts) <= 2 * n
+    assert far == modulus(f, 0, n * step, base)
 
 
 def test_modulus_basics(corpus1):
