@@ -15,6 +15,7 @@ over truncated cones, per-axis slab suprema of |F|, and sphere / dyadic-shell
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -333,6 +334,41 @@ def slab_sup(F: SpectralFunction, axis, t) -> GridFunction:
     return GridFunction(reduced, sub.max(axis=axis))
 
 
+def _slab_double_stars(F: SpectralFunction, axis, ts, measures) -> np.ndarray:
+    """double_star of the rearranged slab_sup(F, axis, t) at each measure, per t.
+
+    The slabs {|xi_axis| >= t} are nested: sorted by |xi_axis|, descending,
+    each is a prefix of the planes.  One running max, extended a plane at a
+    time, gives every slab sup; each distinct plane count is rearranged once
+    and evaluated at the measures of all thresholds that select it.  The max
+    is exact, so every value equals the per-threshold slab_sup route.  An
+    empty slab warns like slab_sup and gives 0.
+    """
+    spec = F.spec
+    ts = np.asarray(ts, dtype=float)
+    measures = np.asarray(measures, dtype=float)
+    abs_nodes = np.abs(spec.axis_nodes(axis))
+    order = np.argsort(-abs_nodes, kind="stable")
+    counts = np.count_nonzero(abs_nodes >= ts[:, None], axis=1)
+    out = np.zeros(len(ts))
+    for t in ts[counts == 0]:
+        warnings.warn(f"threshold {t} exceeds the frequency extent; sup is empty",
+                      RuntimeWarning, stacklevel=3)
+    planes = np.moveaxis(np.abs(F.values), axis, 0)
+    reduced = spec.drop_axis(axis)
+    running = np.zeros(reduced.shape)
+    done = 0
+    for c in np.unique(counts[counts > 0]):
+        for j in order[done:c]:
+            np.maximum(running, planes[j], out=running)
+        done = c
+        prof = decreasing_rearrangement(GridFunction(reduced, running))
+        if prof.values.size:
+            sel = counts == c
+            out[sel] = double_star(prof, measures[sel])
+    return out
+
+
 def sup_integral_functional(f: Union[GridFunction, SpectralFunction], axis,
                             levels=64) -> float:
     """Integral over t > 0 of the running average, at t^(n-1), of the slab sup.
@@ -342,6 +378,13 @@ def sup_integral_functional(f: Union[GridFunction, SpectralFunction], axis,
     a geometric grid with a constant continuation below the first node (the
     integrand tends to a finite limit) and drops t beyond the frequency
     extent, where the sup vanishes.
+
+    The slabs of the levels thresholds are nested, so the sups come from one
+    running max over the planes in order of decreasing |xi_axis|, and each
+    distinct set of planes is rearranged once (thresholds below one
+    frequency cell all select the same planes).  The values equal the
+    per-threshold slab_sup / decreasing_rearrangement / double_star route
+    bit for bit.
     """
     F = transform(f) if isinstance(f, GridFunction) else f
     n = F.spec.dim
@@ -350,14 +393,7 @@ def sup_integral_functional(f: Union[GridFunction, SpectralFunction], axis,
     t_hi = F.spec.half_extents[axis]
     t_lo = F.spec.spacing[axis] / 256.0
     ts = np.geomspace(t_lo, t_hi, levels)
-    vals = np.empty(levels)
-    for i, t in enumerate(ts):
-        g = slab_sup(F, axis, t)
-        prof = decreasing_rearrangement(g)
-        if prof.values.size == 0:
-            vals[i] = 0.0
-        else:
-            vals[i] = double_star(prof, t ** (n - 1))
+    vals = _slab_double_stars(F, axis, ts, [t ** (n - 1) for t in ts])
     total = vals[0] * t_lo
     for i in range(levels - 1):
         total += segment_integral(ts[i], ts[i + 1], vals[i], vals[i + 1])
@@ -390,14 +426,24 @@ class ShellQuadrature:
             raise ValueError("all sample counts must be at least 8")
 
     def directions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit vectors and weights summing to the unit-sphere measure."""
-        if self.dim == 2:
-            a = self.angular_count
-            phi = 2.0 * np.pi * np.arange(a) / a
-            dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-            return dirs, np.full(a, 2.0 * np.pi / a)
-        x, wx = np.polynomial.legendre.leggauss(self.polar_count)
-        a = self.azimuth_count
+        """Unit vectors and weights summing to the unit-sphere measure.
+
+        Computed once per distinct rule and shared between calls, so the
+        arrays are read-only.
+        """
+        return _sphere_rule(self)
+
+
+@functools.lru_cache(maxsize=16)
+def _sphere_rule(quad: ShellQuadrature) -> tuple[np.ndarray, np.ndarray]:
+    if quad.dim == 2:
+        a = quad.angular_count
+        phi = 2.0 * np.pi * np.arange(a) / a
+        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        w = np.full(a, 2.0 * np.pi / a)
+    else:
+        x, wx = np.polynomial.legendre.leggauss(quad.polar_count)
+        a = quad.azimuth_count
         phi = 2.0 * np.pi * np.arange(a) / a
         sin_th = np.sqrt(1.0 - x ** 2)
         dirs = np.stack([
@@ -406,27 +452,38 @@ class ShellQuadrature:
             np.repeat(x, a),
         ], axis=1)
         w = np.repeat(wx, a) * (2.0 * np.pi / a)
-        return dirs, w
+    dirs.setflags(write=False)
+    w.setflags(write=False)
+    return dirs, w
 
 
-def _interp_abs(F: SpectralFunction, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of |F| at physical frequency points (K, n)."""
-    spec = F.spec
-    coords = np.empty((spec.dim, points.shape[0]))
+def _sphere_integrals(av: np.ndarray, spec: GridSpec, radii: np.ndarray,
+                      quad: ShellQuadrature) -> list[float]:
+    """Surface integrals of av = |F| (samples on spec) over spheres of the given radii.
+
+    The points of all radii are interpolated (multilinear, zero outside the
+    grid) in one map_coordinates call; each point is interpolated on its
+    own, and each sphere is reduced by its own dot product, so every value
+    equals a single-radius evaluation bit for bit.
+    """
+    if quad.dim != spec.dim:
+        raise ValueError("quadrature dimension does not match the grid")
+    for r in radii:
+        if not 0 < r <= min(spec.half_extents):
+            raise ValueError(f"radius {r} outside the frequency extent")
+    dirs, w = quad.directions()
+    points = radii[:, None, None] * dirs
+    coords = np.empty((spec.dim, points.shape[0] * points.shape[1]))
     for ax in range(spec.dim):
-        coords[ax] = (points[:, ax] + spec.half_extents[ax]) / spec.spacing[ax]
-    return map_coordinates(np.abs(F.values), coords, order=1, mode="constant", cval=0.0)
+        coords[ax] = ((points[..., ax] + spec.half_extents[ax]) / spec.spacing[ax]).ravel()
+    vals = map_coordinates(av, coords, order=1, mode="constant", cval=0.0)
+    vals = vals.reshape(len(radii), -1)
+    return [float(np.dot(w, v) * r ** (spec.dim - 1)) for r, v in zip(radii, vals)]
 
 
 def sphere_integral(F: SpectralFunction, r, quad: ShellQuadrature) -> float:
     """Surface integral of |F| over the sphere of radius r."""
-    if quad.dim != F.spec.dim:
-        raise ValueError("quadrature dimension does not match the grid")
-    if not 0 < r <= min(F.spec.half_extents):
-        raise ValueError(f"radius {r} outside the frequency extent")
-    dirs, w = quad.directions()
-    vals = _interp_abs(F, r * dirs)
-    return float(np.dot(w, vals) * r ** (F.spec.dim - 1))
+    return _sphere_integrals(np.abs(F.values), F.spec, np.array([r], dtype=float), quad)[0]
 
 
 def _shell_range(F: SpectralFunction) -> range:
@@ -440,13 +497,16 @@ def dyadic_shell_terms(F: SpectralFunction, quad: ShellQuadrature):
 
     Covers the dyadic shells the grid resolves: one cell <= 2^k and
     2^(k+1) <= extent; the (finitely many in principle) shells outside are
-    skipped.
+    skipped.  |F| is taken once per call, and the radial_count radii of a
+    shell are interpolated together; each sphere integral equals
+    sphere_integral at that radius bit for bit.
     """
+    av = np.abs(F.values)
     ks = list(_shell_range(F))
     sups = np.zeros(len(ks))
     for i, k in enumerate(ks):
         radii = np.geomspace(2.0 ** k, 2.0 ** (k + 1), quad.radial_count)
-        sups[i] = max(sphere_integral(F, r, quad) for r in radii)
+        sups[i] = max(_sphere_integrals(av, F.spec, radii, quad))
     return np.array(ks), sups
 
 
@@ -457,10 +517,8 @@ def dyadic_shell_sum(F: SpectralFunction, weight_exponent: float,
     return float(np.sum(2.0 ** (ks * weight_exponent) * sups))
 
 
-def _face_integrals(F: SpectralFunction, j: int, face_half: float) -> np.ndarray:
-    """Rectangle-rule integral of |F| over {|xi_m| <= face_half, m != j}, per xi_j."""
-    spec = F.spec
-    av = np.abs(F.values)
+def _face_integrals(av: np.ndarray, spec: GridSpec, j: int, face_half: float) -> np.ndarray:
+    """Rectangle-rule integral of av = |F| over {|xi_m| <= face_half, m != j}, per xi_j."""
     area = 1.0
     for m in range(spec.dim):
         if m == j:
@@ -483,6 +541,7 @@ def cube_shell_sum(F: SpectralFunction) -> float:
     if spec.dim < 2:
         raise ValueError("needs at least 2 frequency axes")
     w = 2 - spec.dim
+    av = np.abs(F.values)
     total = 0.0
     for j in range(spec.dim):
         nodes = np.abs(spec.axis_nodes(j))
@@ -490,7 +549,7 @@ def cube_shell_sum(F: SpectralFunction) -> float:
             mask = (nodes >= 2.0 ** k) & (nodes <= 2.0 ** (k + 1))
             if not mask.any():
                 continue
-            faces = _face_integrals(F, j, 2.0 ** k)
+            faces = _face_integrals(av, spec, j, 2.0 ** k)
             total += 2.0 ** (k * w) * float(faces[mask].max())
     return float(total)
 
@@ -508,13 +567,14 @@ def cube_face_vs_annulus(F: SpectralFunction, k: int) -> tuple[float, float]:
     if spec.dim < 2:
         raise ValueError("needs at least 2 frequency axes")
     half, inner = 2.0 ** k, 2.0 ** (k - 1)
+    av = np.abs(F.values)
     lhs = 0.0
     for j in range(spec.dim):
         nodes = np.abs(spec.axis_nodes(j))
         mask = (nodes >= inner) & (nodes <= half)
         if not mask.any():
             continue
-        faces = _face_integrals(F, j, half)
+        faces = _face_integrals(av, spec, j, half)
         lhs += float(faces[mask].max())
     mesh = spec.meshgrid()
     in_outer = np.ones(spec.shape, dtype=bool)
@@ -523,7 +583,7 @@ def cube_face_vs_annulus(F: SpectralFunction, k: int) -> tuple[float, float]:
         in_outer &= np.abs(x) <= half
         in_inner &= np.abs(x) <= inner
     annulus = in_outer & ~in_inner
-    rhs = float(np.sum(np.abs(F.values)[annulus]) * spec.cell_volume)
+    rhs = float(np.sum(av[annulus]) * spec.cell_volume)
     return lhs, rhs
 
 

@@ -173,6 +173,7 @@ def modulus(f: GridFunction, axis, t, base: NormSpec) -> float:
     """Modulus of smoothness: max difference norm over grid shifts |h| <= t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
+    _check_axis(f, axis)
     step = f.spec.spacing[axis]
     m_max = int(math.floor(t / step + 1e-9))
     if m_max == 0:

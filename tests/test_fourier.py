@@ -6,10 +6,13 @@ on synthetic radial spectra.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
+from ineqkit import fourier
 from ineqkit.fourier import (ShellQuadrature, SpectralFunction, ball_maximum,
                              cone_derivative_check, cube_face_vs_annulus,
                              cube_shell_sum, dual_grid, dyadic_shell_sum,
@@ -23,6 +26,8 @@ from ineqkit.fourier import (ShellQuadrature, SpectralFunction, ball_maximum,
 from ineqkit.gridfn import (FamilySpec, GridFunction, GridSpec, derivative,
                             sample)
 from ineqkit.norms import lp_norm
+from ineqkit.quadrature import segment_integral
+from ineqkit.rearrange import decreasing_rearrangement, double_star
 
 
 def standard_gaussian(grid):
@@ -186,6 +191,72 @@ def test_sup_integral_functional_is_homogeneous(corpus2):
     assert scaled == pytest.approx(3.0 * base, rel=1e-9)
 
 
+def _naive_slab_double_stars(F, axis, ts, measures):
+    """One slab_sup, rearrangement and double_star per threshold."""
+    vals = np.empty(len(ts))
+    for i, (t, m) in enumerate(zip(ts, measures)):
+        prof = decreasing_rearrangement(slab_sup(F, axis, t))
+        vals[i] = double_star(prof, m) if prof.values.size else 0.0
+    return vals
+
+
+def _naive_sup_integral_functional(F, axis, levels=64):
+    """The per-threshold loop that sup_integral_functional replaces."""
+    n = F.spec.dim
+    t_lo = F.spec.spacing[axis] / 256.0
+    ts = np.geomspace(t_lo, F.spec.half_extents[axis], levels)
+    vals = _naive_slab_double_stars(F, axis, ts, [t ** (n - 1) for t in ts])
+    total = vals[0] * t_lo
+    for i in range(levels - 1):
+        total += segment_integral(ts[i], ts[i + 1], vals[i], vals[i + 1])
+    return float(total)
+
+
+@pytest.mark.parametrize("levels", [64, 7])
+def test_sup_integral_functional_matches_naive_loop(corpus2, corpus3, levels):
+    for member in corpus2[:3] + corpus3[:2]:
+        F = transform(member.f)
+        for axis in range(F.spec.dim):
+            assert (sup_integral_functional(F, axis, levels)
+                    == _naive_sup_integral_functional(F, axis, levels))
+
+
+def test_slab_double_stars_repeated_thresholds():
+    # ties in |F|, zero outer planes (nonempty slabs with an empty profile),
+    # and thresholds that repeat or select the same planes
+    spec = dual_grid(GridSpec.box(2, 2.0, 8))
+    vals = np.zeros(spec.shape, dtype=complex)
+    vals[1:7, 2:6] = np.array([1.0, 2.0, 2.0, 1j])
+    vals[3, 3] = 3.0 - 4.0j
+    F = SpectralFunction(spec, vals)
+    h = spec.spacing[0]
+    ts = np.array([h / 256, h / 4, h / 4, h, 1.5 * h, 2 * h, 3 * h, 3 * h, 4 * h])
+    measures = np.geomspace(0.01, 3.0, len(ts))
+    for axis in (0, 1):
+        got = fourier._slab_double_stars(F, axis, ts, measures)
+        assert np.array_equal(got, _naive_slab_double_stars(F, axis, ts, measures))
+    assert got[-1] == 0.0 and got[0] > 0.0
+    for levels in (64, 9):
+        for axis in (0, 1):
+            assert (sup_integral_functional(F, axis, levels)
+                    == _naive_sup_integral_functional(F, axis, levels))
+
+
+def test_slab_double_stars_empty_slab_warns_like_slab_sup(corpus2):
+    F = transform(corpus2[1].f)
+    far = 100.0
+    with warnings.catch_warnings(record=True) as direct:
+        warnings.simplefilter("always")
+        slab_sup(F, 0, far)
+    with warnings.catch_warnings(record=True) as nested:
+        warnings.simplefilter("always")
+        got = fourier._slab_double_stars(F, 0, np.array([0.5, far]), np.array([1.0, 1.0]))
+    assert [w.category for w in nested] == [RuntimeWarning]
+    assert str(nested[0].message) == str(direct[0].message)
+    assert got[1] == 0.0
+    assert got[0] == _naive_slab_double_stars(F, 0, [0.5], [1.0])[0]
+
+
 def radial_spectrum(dim, profile):
     grid = GridSpec.box(dim, 4.0, 32)
     dual = dual_grid(grid)
@@ -222,6 +293,67 @@ def test_dyadic_shell_sum_vs_dense_sweep():
             2.0 * np.pi * radii * np.exp(-radii ** 2))
     assert got == pytest.approx(dense, rel=2e-2)
     assert np.array_equal(ks, np.arange(-3, 1))
+
+
+def _naive_sphere_integral(F, r, quad):
+    """One fresh rule, one |F| and one interpolation per radius."""
+    dirs, w = fourier._sphere_rule.__wrapped__(quad)
+    points = r * dirs
+    coords = np.empty((F.spec.dim, points.shape[0]))
+    for ax in range(F.spec.dim):
+        coords[ax] = (points[:, ax] + F.spec.half_extents[ax]) / F.spec.spacing[ax]
+    vals = map_coordinates(np.abs(F.values), coords, order=1, mode="constant", cval=0.0)
+    return float(np.dot(w, vals) * r ** (F.spec.dim - 1))
+
+
+def _naive_dyadic_shell_terms(F, quad):
+    """The per-radius sphere_integral sweep that dyadic_shell_terms replaces."""
+    ks = list(fourier._shell_range(F))
+    sups = np.zeros(len(ks))
+    for i, k in enumerate(ks):
+        radii = np.geomspace(2.0 ** k, 2.0 ** (k + 1), quad.radial_count)
+        sups[i] = max(_naive_sphere_integral(F, r, quad) for r in radii)
+    return np.array(ks), sups
+
+
+@pytest.mark.parametrize("radial_count", [16, 9])
+def test_dyadic_shell_terms_match_naive_sweep(corpus2, corpus3, radial_count):
+    for member in corpus2[:3] + corpus3[:2]:
+        F = transform(member.f)
+        quad = ShellQuadrature(F.spec.dim, radial_count=radial_count)
+        ks, sups = dyadic_shell_terms(F, quad)
+        naive_ks, naive_sups = _naive_dyadic_shell_terms(F, quad)
+        assert len(ks) > 0
+        assert np.array_equal(ks, naive_ks) and np.array_equal(sups, naive_sups)
+        for r in np.geomspace(2.0 ** ks[0], 2.0 ** (ks[-1] + 1), 5):
+            assert sphere_integral(F, r, quad) == _naive_sphere_integral(F, r, quad)
+
+
+def test_shell_directions_are_cached_and_read_only():
+    for quad in (ShellQuadrature(2), ShellQuadrature(3), ShellQuadrature(3, polar_count=8)):
+        dirs, w = quad.directions()
+        fresh_dirs, fresh_w = fourier._sphere_rule.__wrapped__(quad)
+        assert np.array_equal(dirs, fresh_dirs) and np.array_equal(w, fresh_w)
+        assert not dirs.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        again = type(quad)(**vars(quad)).directions()
+        assert again[0] is dirs and again[1] is w
+    coarse = ShellQuadrature(3, polar_count=8).directions()[0]
+    assert coarse.shape == (8 * 48, 3)
+    assert ShellQuadrature(3).directions()[0].shape == (24 * 48, 3)
+
+
+def test_sphere_integral_rejects_bad_radius_and_dim():
+    F = radial_spectrum(2, lambda r: np.exp(-r ** 2))
+    quad = ShellQuadrature(2)
+    edge = min(F.spec.half_extents)
+    assert sphere_integral(F, edge, quad) >= 0.0
+    for r in (0.0, -0.5, edge * (1.0 + 1e-12), 2.0 * edge):
+        with pytest.raises(ValueError, match="outside the frequency extent"):
+            sphere_integral(F, r, quad)
+    with pytest.raises(ValueError, match="quadrature dimension"):
+        sphere_integral(F, 0.5, ShellQuadrature(3))
 
 
 def test_cube_shell_sum_finite_and_homogeneous(corpus2):

@@ -148,6 +148,13 @@ def test_modulus_cost_is_capped_at_the_box(corpus1, monkeypatch):
     assert far == modulus(f, 0, n * step, base)
 
 
+def test_modulus_rejects_bad_axis(corpus1, corpus2):
+    for f, axis in ((corpus1[0].f, 1), (corpus1[0].f, -1), (corpus2[0].f, 2)):
+        for t in (0.0, 1.0):
+            with pytest.raises(ValueError, match="out of range"):
+                modulus(f, axis, t, Lebesgue(1.0))
+
+
 def test_modulus_basics(corpus1):
     f = corpus1[2].f
     base = Lebesgue(1.0)
