@@ -226,16 +226,24 @@ def _cmd_render(args, parser) -> int:
     return 0
 
 
+_COMMANDS = {"corpus": _cmd_corpus_gen, "verify": _cmd_verify,
+             "probe": _cmd_probe, "report": _cmd_render}
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; returns the exit code.
+
+    Usage errors leave through argparse with exit code 2.  Any other
+    uncaught error becomes exit code 1 and one `error: ...` line on stderr.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "corpus":
-        return _cmd_corpus_gen(args, parser)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    if args.command == "probe":
-        return _cmd_probe(args, parser)
-    return _cmd_render(args, parser)
+    try:
+        return _COMMANDS[args.command](args, parser)
+    except Exception as exc:  # the process boundary: report, do not trace back
+        message = " ".join(str(exc).split()) or "(no message)"
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

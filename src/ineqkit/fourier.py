@@ -19,8 +19,6 @@ import functools
 import io
 import json
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -28,7 +26,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy.ndimage import map_coordinates, maximum_filter1d
 
-from .gridfn import FORMAT_VERSION, GridFunction, GridSpec
+from .gridfn import FORMAT_VERSION, GridFunction, GridSpec, _atomic_write
 from .norms import lp_norm
 from .quadrature import segment_integral
 from .rearrange import decreasing_rearrangement, double_star
@@ -98,8 +96,20 @@ class SpectralFunction:
 
 
 def transform(f: GridFunction) -> SpectralFunction:
-    vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
-    return SpectralFunction(dual_grid(f.spec), vals * f.spec.cell_volume)
+    """Samples of the Fourier transform of f on the dual grid.
+
+    f is immutable, so the result is cached on f itself: every later call
+    with the same object (the Riesz transforms of h1_norm, the other
+    functionals of one corpus member) returns the same read-only
+    SpectralFunction.  The cache lives exactly as long as f; distinct
+    GridFunctions never share it, even when their values are equal.
+    """
+    F = vars(f).get("_spectrum")
+    if F is None:
+        vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
+        F = SpectralFunction(dual_grid(f.spec), vals * f.spec.cell_volume)
+        vars(f)["_spectrum"] = F  # f is frozen: bypass its __setattr__
+    return F
 
 
 def inverse_transform(F: SpectralFunction, kind="real") -> GridFunction:
@@ -622,15 +632,7 @@ def save_spectral(path, F: SpectralFunction):
     buf = io.BytesIO()
     np.savez(buf, header=np.frombuffer(header.encode(), dtype=np.uint8),
              values=F.values)
-    data = buf.getvalue()
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    _atomic_write(path, buf.getvalue())
 
 
 def load_spectral(path) -> SpectralFunction:

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -135,7 +138,8 @@ class GridFunction:
     """Immutable sampled function on a GridSpec.
 
     kind is "real" or "complex"; values are normalized to float64/complex128
-    and frozen (the array is copied and marked read-only).
+    and frozen (the array is copied and marked read-only).  Because nothing
+    can change, fourier.transform caches its result on the instance.
     """
 
     spec: GridSpec
@@ -572,7 +576,7 @@ def save_corpus_spec(path, grid: GridSpec, seed: int, count: int) -> None:
     """Write the small JSON document that identifies a corpus."""
     doc = {"format_version": FORMAT_VERSION,
            "grid": grid.to_dict(), "seed": int(seed), "count": int(count)}
-    _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_corpus_spec(path) -> tuple[GridSpec, int, int]:
@@ -596,18 +600,9 @@ def save_corpus_dump(path, members: list[CorpusMember], seed: int) -> None:
         arrays[f"f{i}"] = m.f.values
         for k, d in enumerate(m.derivs):
             arrays[f"d{i}_{k}"] = d.values
-    import io, os, tempfile
     buf = io.BytesIO()
     np.savez(buf, **arrays)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, buf.getvalue())
 
 
 def load_corpus_dump(path) -> tuple[list[CorpusMember], int]:
@@ -625,12 +620,20 @@ def load_corpus_dump(path) -> tuple[list[CorpusMember], int]:
     return members, int(header["seed"])
 
 
-def _atomic_write_text(path, text: str) -> None:
-    import os, tempfile
+def _atomic_write(path, data) -> None:
+    """Write bytes, or text encoded as UTF-8, to path in one os.replace.
+
+    The data goes to a temporary file in the target's directory first, so a
+    reader sees the old file or the new one, never a partial write.  If the
+    write fails the temporary file is removed and path is left as it was.
+    Every module that saves a file writes through here.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

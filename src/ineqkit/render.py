@@ -10,8 +10,8 @@ import csv
 import io
 import json
 import math
-import os
-import tempfile
+
+from .gridfn import _atomic_write
 
 __all__ = ["load_report", "render_csv", "render_svg", "CSV_COLUMNS"]
 
@@ -33,18 +33,6 @@ def load_report(path) -> dict:
         return json.load(fh)
 
 
-def _write_atomic(path, text: str):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def render_csv(doc: dict, path) -> None:
     """One row per (id, dim, member), columns CSV_COLUMNS."""
     buf = io.StringIO()
@@ -59,7 +47,7 @@ def render_csv(doc: dict, path) -> None:
                              row["lhs_fine"], row["rhs_fine"],
                              row["ratio_fine"],
                              row["lhs_refinement"], row["rhs_refinement"]])
-    _write_atomic(path, buf.getvalue())
+    _atomic_write(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -206,4 +194,4 @@ def render_svg(doc: dict, path) -> None:
            f'height="{height}" font-family="sans-serif">\n'
            f'<rect width="{width}" height="{height}" fill="#ffffff"/>\n'
            f"{body}\n</svg>\n")
-    _write_atomic(path, svg)
+    _atomic_write(path, svg)

@@ -169,16 +169,27 @@ def _moduli(f: GridFunction, axis, base: NormSpec, ms) -> tuple[np.ndarray, np.n
     return running[np.minimum(ms, top) - 1], pos
 
 
+def _moduli_at(f: GridFunction, axis, ts, base: NormSpec) -> np.ndarray:
+    """Moduli of smoothness at the radii ts >= 0, from one running-max table.
+
+    The table is a prefix running max, so every value equals the one the
+    radius would get from a table of its own.
+    """
+    step = f.spec.spacing[axis]
+    ms = np.array([math.floor(t / step + 1e-9) for t in ts], dtype=np.int64)
+    out = np.zeros(ms.size)
+    pos = ms > 0
+    if pos.any():
+        out[pos] = _moduli(f, axis, base, ms[pos])[0]
+    return out
+
+
 def modulus(f: GridFunction, axis, t, base: NormSpec) -> float:
     """Modulus of smoothness: max difference norm over grid shifts |h| <= t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     _check_axis(f, axis)
-    step = f.spec.spacing[axis]
-    m_max = int(math.floor(t / step + 1e-9))
-    if m_max == 0:
-        return 0.0
-    return float(_moduli(f, axis, base, [m_max])[0][0])
+    return float(_moduli_at(f, axis, [t], base)[0])
 
 
 @dataclass(frozen=True)
@@ -273,51 +284,73 @@ def besov_seminorm(f: GridFunction, spec: BesovSpec, deriv: Optional[GridFunctio
 # ---------------------------------------------------------------------------
 
 
-def ulyanov_pointwise(f: GridFunction, p: float, t: float) -> tuple[float, float]:
+def _measures(t) -> np.ndarray:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1:
+        raise ValueError("t must be a scalar or a 1-d array")
+    if np.any(ts <= 0):
+        raise ValueError("t must be positive")
+    return ts
+
+
+def _scalar_or_array(t, values):
+    values = np.array(values, dtype=float)
+    return values if np.ndim(t) else float(values[0])
+
+
+def ulyanov_pointwise(f: GridFunction, p: float, t):
     """Gap between the running average and the rearrangement vs. the modulus.
 
     Returns (lhs, rhs) with lhs the running-average excess over the
     rearrangement at measure t and rhs = 2 t^(-1/p) times the modulus at t in
-    the Lebesgue p norm.  One-dimensional functions only.
+    the Lebesgue p norm.  One-dimensional functions only.  t may be a 1-d
+    array: the moduli of all its values then come from one table, and each
+    side is an array whose entries equal the scalar calls bit for bit.
     """
     if f.spec.dim != 1:
         raise ValueError("defined for 1-d functions")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    ts = _measures(t)
     prof = decreasing_rearrangement(f)
-    lhs = double_star(prof, t) - prof.value_at(t)
-    rhs = 2.0 * t ** (-1.0 / p) * modulus(f, 0, t, Lebesgue(p))
-    return float(lhs), float(rhs)
+    lhs = [double_star(prof, s) - prof.value_at(s) for s in ts]
+    omega = _moduli_at(f, 0, ts, Lebesgue(p))
+    rhs = [2.0 * s ** (-1.0 / p) * w for s, w in zip(ts, omega)]
+    return _scalar_or_array(t, lhs), _scalar_or_array(t, rhs)
 
 
-def ulyanov_tail(f: GridFunction, p: float, t: float, ratio=DEFAULT_RATIO) -> tuple[float, float]:
+def ulyanov_tail(f: GridFunction, p: float, t, ratio=DEFAULT_RATIO):
     """Rearrangement value vs. the tail integral of the modulus.
 
     Returns (lhs, rhs): lhs is the rearrangement at measure t, rhs is twice
     the integral over s in (t, oo) of s^(-1/p) times the modulus at s, against
     ds/s.  The range beyond 4 L uses the bound modulus <= 2 ||f||_p, which
-    completes the integral in closed form (an upper estimate of rhs).
+    completes the integral in closed form (an upper estimate of rhs).  t may
+    be a 1-d array: the moduli of all its quadrature nodes then come from one
+    table, and each side is an array whose entries equal the scalar calls
+    bit for bit.
     """
     if f.spec.dim != 1:
         raise ValueError("defined for 1-d functions")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    ts = _measures(t)
     base = Lebesgue(p)
     grid = f.spec
     step = grid.spacing[0]
     s_max = 4.0 * grid.half_extents[0]
     prof = decreasing_rearrangement(f)
-    lhs = prof.value_at(t)
+    lhs = [prof.value_at(s) for s in ts]
 
-    finite = 0.0
-    if t < s_max:
-        ms, weights = _snapped_nodes(t, s_max, ratio, step)
+    nodes = [_snapped_nodes(s, s_max, ratio, step) if s < s_max
+             else (np.empty(0, dtype=np.int64), np.empty(0)) for s in ts]
+    all_ms = np.concatenate([ms for ms, _ in nodes])
+    omegas = np.split(_moduli(f, 0, base, all_ms)[0] if all_ms.size else all_ms,
+                      np.cumsum([ms.size for ms, _ in nodes])[:-1])
+    fnorm = norm_of_values(f.values, grid, base)
+    rhs = []
+    for s, (ms, weights), omega in zip(ts, nodes, omegas):
+        finite = 0.0
         if ms.size:
-            omega = _moduli(f, 0, base, ms)[0]
             ss = ms * step
             finite = float(np.sum(ss ** (-1.0 / p) * omega * weights))
-    fnorm = norm_of_values(f.values, grid, base)
-    tail_from = max(t, s_max)
-    tail = 2.0 * fnorm * p * tail_from ** (-1.0 / p)
-    rhs = 2.0 * (finite + tail)
-    return float(lhs), float(rhs)
+        tail_from = max(s, s_max)
+        tail = 2.0 * fnorm * p * tail_from ** (-1.0 / p)
+        rhs.append(2.0 * (finite + tail))
+    return _scalar_or_array(t, lhs), _scalar_or_array(t, rhs)

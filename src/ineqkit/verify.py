@@ -12,9 +12,11 @@ a validity window over the exponent parameters and a kind:
             reports evidence, never a direction.
 
 Every member is evaluated at a coarse grid and its 2x refinement; the
-empirical constant is the maximum fine-grid ratio.  Evaluators are top-level
-functions looked up by entry id, so corpus members can be rebuilt and
-evaluated in worker processes from (family, grid) descriptions alone.
+empirical constant is the maximum fine-grid ratio.  The runner is
+member-major: each member is sampled once per grid and every entry is
+evaluated on that sample.  Evaluators are top-level functions looked up by
+entry id, so corpus members can be rebuilt and evaluated in worker processes
+from (family, grid) descriptions alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from . import fourier
-from .gridfn import (CorpusMember, FamilySpec, FORMAT_VERSION, GridSpec,
+from .gridfn import (CorpusMember, FamilySpec, FORMAT_VERSION, GridSpec, _atomic_write,
                      corpus_generate, dilate_family, sample_member)
 from .hardyops import RaySamples, doublestar_bound_check, hardy_check
 from .norms import (Lebesgue, Lorentz, Mixed, iterated_lorentz_norm,
@@ -143,21 +144,13 @@ def _delta_sweep(member, fraction_lo=4.0, count=8):
 
 
 def _eval_ulyanov_pointwise(member, params):
-    p = params["p"]
-    pairs = []
-    for t in _delta_sweep(member):
-        lhs, rhs = ulyanov_pointwise(member.f, p, t)
-        pairs.append((lhs, rhs / 2.0))
-    return _worst_pair(pairs)
+    lhs, rhs = ulyanov_pointwise(member.f, params["p"], _delta_sweep(member))
+    return _worst_pair(zip(lhs, rhs / 2.0))
 
 
 def _eval_ulyanov_tail(member, params):
-    p = params["p"]
-    pairs = []
-    for t in _delta_sweep(member):
-        lhs, rhs = ulyanov_tail(member.f, p, t)
-        pairs.append((lhs, rhs / 2.0))
-    return _worst_pair(pairs)
+    lhs, rhs = ulyanov_tail(member.f, params["p"], _delta_sweep(member))
+    return _worst_pair(zip(lhs, rhs / 2.0))
 
 
 def _eval_omega1(member, params):
@@ -742,56 +735,78 @@ def _log2_ratio(a: float, b: float) -> float:
     return math.nan
 
 
-def _evaluate_task(task):
-    """One (entry, member) evaluation at both resolutions; pool-safe."""
-    entry_id, dim, index, fam_dict, grid_dict = task
-    spec = registry_map()[entry_id]
-    params = spec.params[dim]
+def _evaluate(specs, dim, member):
+    """Each entry's (lhs, rhs) on one sampled member, and the seconds it took."""
+    out = []
+    for spec in specs:
+        started = time.perf_counter()
+        sides = spec.evaluate(member, spec.params[dim])
+        out.append((sides, time.perf_counter() - started))
+    return out
+
+
+def _evaluate_member(task):
+    """Every entry's row for one member at both resolutions; pool-safe.
+
+    Member-major: the member is sampled once per grid and every entry runs on
+    that sample, so an entry reuses what an earlier one cached on it (the
+    Fourier transforms of f and its derivatives).  The coarse sample is
+    dropped before the fine one is drawn.  Returns one (row, seconds) pair
+    per entry, in the order of the ids.
+    """
+    entry_ids, dim, index, fam_dict, grid_dict = task
+    specs = [registry_map()[i] for i in entry_ids]
     fam = FamilySpec.from_dict(fam_dict)
     grid = GridSpec.from_dict(grid_dict)
-    mc = sample_member(fam, grid)
-    mf = sample_member(fam, grid.refine(2))
-    lc, rc = spec.evaluate(mc, params)
-    lf, rf = spec.evaluate(mf, params)
-    row = {
-        "member": index, "family": fam.family,
-        "lhs_coarse": _json_float(lc), "rhs_coarse": _json_float(rc),
-        "lhs_fine": _json_float(lf), "rhs_fine": _json_float(rf),
-        "ratio_coarse": _json_float(empirical_ratio(lc, rc)),
-        "ratio_fine": _json_float(empirical_ratio(lf, rf)),
-        "lhs_refinement": _json_float(empirical_ratio(lf, lc)),
-        "rhs_refinement": _json_float(empirical_ratio(rf, rc)),
-    }
-    if spec.dilation_sweep:
-        # f(lam x) is sampled on the box rescaled by 1/lam with the same point
-        # count, so the dilated configuration is an exact rescale of the
-        # original and the fitted exponents carry no extra discretization error
-        fine = grid.refine(2)
-        sweep = {}
-        for lam in (0.5, 2.0):
-            g = GridSpec(fine.dim, tuple(L / lam for L in fine.half_extents),
-                         fine.points)
-            sweep[lam] = spec.evaluate(sample_member(dilate_family(fam, lam), g),
-                                       params)
-        row["dilation_values"] = {
-            "0.5": [_json_float(v) for v in sweep[0.5]],
-            "2.0": [_json_float(v) for v in sweep[2.0]],
+    fine = grid.refine(2)
+    coarse = _evaluate(specs, dim, sample_member(fam, grid))
+    refined = _evaluate(specs, dim, sample_member(fam, fine))
+    # f(lam x) is sampled on the box rescaled by 1/lam with the same point
+    # count, so the dilated configuration is an exact rescale of the original
+    # and the fitted exponents carry no extra discretization error; every
+    # sweep entry reads the same dilated sample, and no name holds it, so
+    # it is freed before the next one is drawn
+    sweeps = [spec for spec in specs if spec.dilation_sweep]
+    dilated = {}
+    for lam in ((0.5, 2.0) if sweeps else ()):
+        g = GridSpec(fine.dim, tuple(L / lam for L in fine.half_extents), fine.points)
+        sides = _evaluate(sweeps, dim, sample_member(dilate_family(fam, lam), g))
+        dilated[lam] = dict(zip((spec.id for spec in sweeps), sides))
+    out = []
+    for spec, ((lc, rc), tc), ((lf, rf), tf) in zip(specs, coarse, refined):
+        row = {
+            "member": index, "family": fam.family,
+            "lhs_coarse": _json_float(lc), "rhs_coarse": _json_float(rc),
+            "lhs_fine": _json_float(lf), "rhs_fine": _json_float(rf),
+            "ratio_coarse": _json_float(empirical_ratio(lc, rc)),
+            "ratio_fine": _json_float(empirical_ratio(lf, rf)),
+            "lhs_refinement": _json_float(empirical_ratio(lf, lc)),
+            "rhs_refinement": _json_float(empirical_ratio(rf, rc)),
         }
-        # [down-step, up-step]: log2 slopes over lam in {1/2, 1} and {1, 2}
-        row["lhs_scaling_exponents"] = [_log2_ratio(lf, sweep[0.5][0]),
-                                        _log2_ratio(sweep[2.0][0], lf)]
-        row["rhs_scaling_exponents"] = [_log2_ratio(rf, sweep[0.5][1]),
-                                        _log2_ratio(sweep[2.0][1], rf)]
-    return row
+        seconds = tc + tf
+        if spec.dilation_sweep:
+            (down, td), (up, tu) = dilated[0.5][spec.id], dilated[2.0][spec.id]
+            seconds += td + tu
+            row["dilation_values"] = {
+                "0.5": [_json_float(v) for v in down],
+                "2.0": [_json_float(v) for v in up],
+            }
+            # [down-step, up-step]: log2 slopes over lam in {1/2, 1} and {1, 2}
+            row["lhs_scaling_exponents"] = [_log2_ratio(lf, down[0]),
+                                            _log2_ratio(up[0], lf)]
+            row["rhs_scaling_exponents"] = [_log2_ratio(rf, down[1]),
+                                            _log2_ratio(up[1], rf)]
+        out.append((row, seconds))
+    return out
 
 
 def _map_tasks(tasks, jobs):
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs <= 1 or len(tasks) <= 1:
-        return [_evaluate_task(t) for t in tasks]
+        return [_evaluate_member(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_evaluate_task, tasks))
+        return list(pool.map(_evaluate_member, tasks))
 
 
 def _drift(coarse: float, fine: float) -> float:
@@ -802,19 +817,37 @@ def _drift(coarse: float, fine: float) -> float:
     return abs(fine / coarse - 1.0)
 
 
-def run(spec: InequalitySpec, dim: int, families, coarse_grid: GridSpec,
-        jobs: int = 1) -> InequalityReport:
-    """Evaluate one entry over the corpus at coarse_grid and its refinement."""
-    if dim not in spec.dims:
-        raise ValueError(f"entry {spec.id} does not apply to dim {dim}")
-    params = spec.params[dim]
-    if not spec.valid(dim, params):
-        raise ValueError(f"entry {spec.id}: invalid parameters for dim {dim}")
-    started = time.perf_counter()
-    tasks = [(spec.id, dim, i, fam.to_dict(), coarse_grid.to_dict())
-             for i, fam in enumerate(families)]
-    rows = _map_tasks(tasks, jobs)
+def run(specs, dim: int, families, coarse_grid: GridSpec,
+        jobs: int = 1) -> list[InequalityReport]:
+    """Evaluate registry entries over one corpus at coarse_grid and its refinement.
 
+    specs is a sequence of registry entries that all apply to dim; one
+    report per entry is returned, in the same order.  The loop is
+    member-major: each member is sampled once on the coarse grid and every
+    entry runs on that sample, then once on the fine grid, and entries with
+    a dilation sweep share one pair of dilated samples.  With jobs > 1 the
+    members are spread over one process pool.  A report's runtime is the
+    time spent in its own entry's evaluator.
+    """
+    specs = list(specs)
+    for spec in specs:
+        if dim not in spec.dims:
+            raise ValueError(f"entry {spec.id} does not apply to dim {dim}")
+        if not spec.valid(dim, spec.params[dim]):
+            raise ValueError(f"entry {spec.id}: invalid parameters for dim {dim}")
+    if not specs:
+        return []
+    ids = tuple(spec.id for spec in specs)
+    tasks = [(ids, dim, i, fam.to_dict(), coarse_grid.to_dict())
+             for i, fam in enumerate(families)]
+    members = _map_tasks(tasks, jobs)
+    return [_report(spec, dim, [m[k][0] for m in members],
+                    sum(m[k][1] for m in members))
+            for k, spec in enumerate(specs)]
+
+
+def _report(spec: InequalitySpec, dim: int, rows: list, runtime: float) -> InequalityReport:
+    """One entry's verdict, drift and dilation summary from its rows."""
     failures = []
     ratios_c = [r["ratio_coarse"] for r in rows]
     ratios_f = [r["ratio_fine"] for r in rows]
@@ -849,12 +882,12 @@ def run(spec: InequalitySpec, dim: int, families, coarse_grid: GridSpec,
                     "matched": worst_gap <= DILATION_TOL}
 
     return InequalityReport(
-        id=spec.id, dim=dim, kind=spec.kind, params=dict(params),
+        id=spec.id, dim=dim, kind=spec.kind, params=dict(spec.params[dim]),
         constant=spec.constant, tolerance=spec.tolerance, rows=rows,
         max_ratio_coarse=_json_float(max_c), max_ratio_fine=_json_float(max_f),
         empirical_constant=_json_float(max_f), refinement_drift=_json_float(drift),
         stable=drift <= DRIFT_GATE, passed=passed, failures=failures,
-        dilation=dilation, runtime=time.perf_counter() - started)
+        dilation=dilation, runtime=runtime)
 
 
 def run_all(ids=None, corpora=None, jobs: int = 1, seed: int = DEFAULT_SEED,
@@ -862,11 +895,12 @@ def run_all(ids=None, corpora=None, jobs: int = 1, seed: int = DEFAULT_SEED,
     """Run registry entries over per-dimension corpora.
 
     corpora maps dim -> (families, coarse GridSpec); defaults are generated
-    from the seed.  Probe entries are included as evidence rows (they cannot
-    fail); their escalation sweeps live in probe().  Returns (reports,
-    metadata); reports are sorted by (id, dim) and deterministic.  Only the
-    timestamp lives in metadata: anything else would break the byte-identity
-    of repeated runs.
+    from the seed.  Each dimension is one run() call: one member-major pass
+    and at most one process pool.  Probe entries are included as evidence
+    rows (they cannot fail); their escalation sweeps live in probe().
+    Returns (reports, metadata); reports are sorted by (id, dim) and
+    deterministic.  Only the timestamp lives in metadata: anything else
+    would break the byte-identity of repeated runs.
     """
     if corpora is None:
         corpora = {d: (default_families(d, seed), default_grid(d))
@@ -877,29 +911,18 @@ def run_all(ids=None, corpora=None, jobs: int = 1, seed: int = DEFAULT_SEED,
         if unknown:
             raise ValueError(f"unknown registry ids: {sorted(unknown)}")
         specs = [e for e in specs if e.id in set(ids)]
+    if not include_probes:
+        specs = [e for e in specs if e.kind != "probe"]
     reports = []
-    for spec in sorted(specs, key=lambda e: e.id):
-        if spec.kind == "probe" and not include_probes:
-            continue
-        for dim in sorted(spec.dims):
-            if dim not in corpora:
-                continue
+    for dim in sorted(corpora):
+        chosen = sorted((e for e in specs if dim in e.dims), key=lambda e: e.id)
+        if chosen:
             families, grid = corpora[dim]
-            reports.append(run(spec, dim, families, grid, jobs=jobs))
+            # positional up to coarse_grid: perfbench/tracing.py hooks run by position
+            reports.extend(run(chosen, dim, families, grid, jobs=jobs))
+    reports.sort(key=lambda r: (r.id, r.dim))
     metadata = {"timestamp": datetime.now(timezone.utc).isoformat()}
     return reports, metadata
-
-
-def _atomic_write_text(path, text: str):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def save_report(path, reports, metadata) -> dict:
@@ -909,8 +932,8 @@ def save_report(path, reports, metadata) -> dict:
         "reports": [r.to_dict() for r in reports],
         "metadata": metadata,
     }
-    _atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2,
-                                        allow_nan=True) + "\n")
+    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2,
+                                   allow_nan=True) + "\n")
     return doc
 
 
@@ -955,9 +978,7 @@ def probe(question: str, depth: int = 2, families=None, grid=None,
     levels = []
     for level in range(depth + 1):
         fams = [escalate_family(f, level) for f in families]
-        tasks = [(spec.id, dim, i, fam.to_dict(), grid.to_dict())
-                 for i, fam in enumerate(fams)]
-        rows = _map_tasks(tasks, jobs)
+        rows = run([spec], dim, fams, grid, jobs=jobs)[0].rows
         ratios = [r["ratio_fine"] for r in rows]
         levels.append({
             "level": level,
@@ -985,5 +1006,5 @@ def save_probe(path, report: dict) -> dict:
     doc = {"format_version": FORMAT_VERSION, "probe": doc,
            "metadata": {"timestamp": datetime.now(timezone.utc).isoformat(),
                         "runtime": runtime}}
-    _atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return doc

@@ -106,7 +106,7 @@ def test_criterion_5_dilation_homogeneity():
         for dim in sorted(entry.params):
             grid = default_grid(dim)
             families = [m.family for m in corpus_generate(SEED, 10, grid)]
-            rep = run(entry, dim, families, grid)
+            rep = run([entry], dim, families, grid)[0]
             ok = ok and rep.dilation is not None and rep.dilation["matched"]
             gaps.append(f"{eid}@n{dim}:{rep.dilation['max_exponent_gap']:.1e}")
     assert verdict(5, ok, "exponent gaps " + " ".join(gaps))
@@ -131,7 +131,7 @@ def test_criterion_6_empirical_constant_stability():
     ok = True
     for eid, dim in STABILITY_CASES:
         started = time.perf_counter()
-        rep = run(registry_map()[eid], dim, corpora[dim], grids[dim])
+        rep = run([registry_map()[eid]], dim, corpora[dim], grids[dim])[0]
         elapsed = time.perf_counter() - started
         if dim == 3:
             n3_runtime += elapsed

@@ -103,6 +103,20 @@ def test_render_failures_exit_1(tmp_path, capsys):
     assert "format_version" in err
 
 
+def test_runtime_error_exits_1_with_one_line(flow_dir, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    doc = load_report(flow_dir / "run" / "report.json")
+    for row in doc["reports"][0]["rows"]:
+        del row["ratio_fine"]
+    (broken / "report.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("report", "render", "--in", str(broken), "--format", "csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: KeyError:") and "ratio_fine" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_probe_writes_labeled_file(tmp_path):
     out = tmp_path / "probes"
     assert run_cli("probe", "--question", "obertype_n2", "--depth", "0",

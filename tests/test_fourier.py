@@ -106,6 +106,45 @@ def test_h1_norm_dominates_l1(corpus2):
     assert h1_norm(g) >= lp_norm(g, 1) * (1.0 - 1e-12)
 
 
+def _uncached_transform(f):
+    """The transform of a fresh copy of f's values; never reads a cache."""
+    vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values.copy())))
+    return SpectralFunction(dual_grid(f.spec), vals * f.spec.cell_volume)
+
+
+def _uncached_riesz(f, j):
+    F = _uncached_transform(f)
+    return inverse_transform(SpectralFunction(F.spec, F.values * fourier._riesz_multiplier(F.spec, j)), f.kind)
+
+
+def test_transform_is_cached_on_the_instance(corpus2):
+    f = corpus2[1].derivs[0]
+    F = transform(f)
+    assert transform(f) is F
+    assert not F.values.flags.writeable
+    assert np.array_equal(F.values, _uncached_transform(f).values)
+    assert F.spec == _uncached_transform(f).spec
+    twin = GridFunction(f.spec, f.values)
+    assert "_spectrum" not in vars(twin)
+    assert transform(twin) is not F
+    assert np.array_equal(transform(twin).values, F.values)
+
+
+def test_riesz_and_h1_norm_match_uncached_oracle(corpus2, corpus3):
+    for member in (corpus2[2], corpus3[1]):
+        for g in member.derivs:
+            g = GridFunction(g.spec, g.values)  # no cache yet
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for j in range(g.spec.dim):
+                    assert np.array_equal(riesz(g, j).values, _uncached_riesz(g, j).values)
+                expected = lp_norm(g, 1)
+                for j in range(g.spec.dim):
+                    expected += lp_norm(_uncached_riesz(g, j), 1)
+                assert h1_norm(g) == float(expected)
+                assert h1_norm(g) == float(expected)  # now from the cache
+
+
 def test_poisson_semigroup_and_contraction(grid1):
     f = sample(FamilySpec("gaussian", 1, 1.0, (0.0,), (1.0,)), grid1)
     a = poisson(poisson(f, 0.25), 0.5)

@@ -1,10 +1,12 @@
 """Grids, analytic families, sampling, and seeded corpus generation."""
 
+import os
 import pickle
 
 import numpy as np
 import pytest
 
+from ineqkit import gridfn
 from ineqkit.gridfn import (FAMILY_IDS, CorpusMember, FamilySpec, GridFunction,
                             GridSpec, corpus_generate, derivative,
                             dilate_family, finite_difference_derivative,
@@ -174,3 +176,19 @@ def test_corpus_dump_roundtrip(tmp_path, grid1):
     for a, b in zip(members, loaded):
         assert a.family == b.family
         assert np.allclose(a.f.values, b.f.values, rtol=0, atol=1e-15)
+
+
+def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    gridfn._atomic_write(target, "old\n")
+    gridfn._atomic_write(tmp_path / "b.bin", b"\x00\x01")
+    assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        gridfn._atomic_write(target, "new text \u2014 utf-8\n")
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bin", "report.json"]

@@ -260,3 +260,25 @@ def test_ulyanov_tail_cases(plateau):
     assert rhs_later <= rhs * (1.0 + 1e-12)
     z = GridFunction(plateau.grid, np.zeros(plateau.grid.shape))
     assert ulyanov_tail(z, 2.0, 1.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_ulyanov_array_t_matches_per_t_calls(corpus1, p):
+    for member in corpus1[:6]:
+        f = member.f
+        ts = np.geomspace(4.0 * f.spec.spacing[0], 40.0, 8)
+        for fn in (ulyanov_tail, ulyanov_pointwise):
+            lhs, rhs = fn(f, p, ts)
+            loop = [fn(f, p, t) for t in ts]
+            assert all(type(v) is float for pair in loop for v in pair)
+            # one table for all t is a prefix of each per-t table: exact
+            assert lhs.tolist() == [pair[0] for pair in loop]
+            assert rhs.tolist() == [pair[1] for pair in loop]
+
+
+def test_ulyanov_rejects_bad_t(corpus1):
+    f = corpus1[0].f
+    for fn in (ulyanov_tail, ulyanov_pointwise):
+        for bad in (0.0, -1.0, [1.0, 0.0], np.ones((2, 2))):
+            with pytest.raises(ValueError):
+                fn(f, 2.0, bad)

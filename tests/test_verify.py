@@ -1,5 +1,6 @@
 """Registry integrity, evaluator invariants, and the report machinery."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from ineqkit.gridfn import (FamilySpec, GridSpec, corpus_generate,
                             sample_member, scale_family)
+from ineqkit import verify
 from ineqkit.verify import (InequalityReport, InequalitySpec, default_families,
                             default_grid, empirical_ratio, escalate_family,
                             probe, registry, registry_map, run, run_all,
@@ -53,7 +55,7 @@ def test_inequality_spec_validation():
 def test_run_rejects_wrong_dim_and_bad_params(corpus1, grid1):
     entry = registry_map()["embed32"]
     with pytest.raises(ValueError):
-        run(entry, 1, corpus1, grid1)
+        run([entry], 1, corpus1, grid1)
 
 
 def test_empirical_ratio_conventions():
@@ -85,7 +87,7 @@ def test_ratio_invariant_under_amplitude_scaling(entry_id, corpus1, corpus2, cor
 def test_zero_function_passes_assert_entries(grid1):
     zero = [FamilySpec("gaussian", 1, 0.0, (0.0,), (1.0,))]
     for name in ("hardy", "bound", "omega1"):
-        rep = run(registry_map()[name], 1, zero, grid1)
+        rep = run([registry_map()[name]], 1, zero, grid1)[0]
         assert rep.passed and rep.max_ratio_fine == 0.0
 
 
@@ -96,7 +98,7 @@ def test_zero_function_passes_assert_entries(grid1):
 def small_run():
     grid = GridSpec.box(1, 8.0, 128)
     families = [m.family for m in corpus_generate(SEED, 4, grid)]
-    return run(registry_map()["bound"], 1, families, grid)
+    return run([registry_map()["bound"]], 1, families, grid)[0]
 
 
 def test_report_fields(small_run):
@@ -120,15 +122,56 @@ def test_run_is_deterministic_and_pool_safe():
     grid = GridSpec.box(1, 8.0, 128)
     families = [m.family for m in corpus_generate(SEED, 4, grid)]
     entry = registry_map()["omega1"]
-    serial = run(entry, 1, families, grid, jobs=1)
-    pooled = run(entry, 1, families, grid, jobs=2)
+    serial = run([entry], 1, families, grid, jobs=1)[0]
+    pooled = run([entry], 1, families, grid, jobs=2)[0]
     assert serial.to_dict() == pooled.to_dict()
+
+
+# Every entry kind at every dimension: dilation sweeps (embed0, embed1),
+# spectral entries sharing cached transforms (H_ineq, pelcz, pelcz1, sup111,
+# obertype33) and the Ulyanov table sweeps.
+MULTI_ENTRY_CASES = [
+    (1, GridSpec.box(1, 8.0, 128), ("bound", "embed1", "omega1", "Ulyanov1", "ulyanov0")),
+    (2, GridSpec.box(2, 4.0, 16), ("H_ineq", "embed0", "embed1", "pelcz", "const1")),
+    (3, GridSpec.box(3, 4.0, 16), ("obertype33", "pelcz1", "sup111")),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("dim,grid,ids", MULTI_ENTRY_CASES)
+def test_multi_entry_run_matches_one_entry_runs(dim, grid, ids, jobs):
+    families = [m.family for m in corpus_generate(SEED, 3, grid)]
+    specs = [registry_map()[i] for i in ids]
+    reports = run(specs, dim, families, grid, jobs=jobs)
+    assert [r.id for r in reports] == list(ids)
+    for spec, rep in zip(specs, reports):
+        alone = run([spec], dim, families, grid, jobs=1)[0]
+        # json text: rows may hold NaN exponents, which never compare equal
+        assert json.dumps(rep.to_dict(), sort_keys=True) == \
+            json.dumps(alone.to_dict(), sort_keys=True)
+
+
+def test_run_all_makes_one_run_per_dimension(monkeypatch, grid1, grid2):
+    calls = []
+    real_run = verify.run
+
+    def counting_run(specs, dim, *args, **kwargs):
+        calls.append((dim, [s.id for s in specs]))
+        return real_run(specs, dim, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "run", counting_run)
+    corpora = {1: ([m.family for m in corpus_generate(SEED, 2, grid1)], grid1),
+               2: ([m.family for m in corpus_generate(SEED, 2, grid2)], grid2)}
+    reports, _ = run_all(ids=["omega1", "bound", "embed1", "const1"], corpora=corpora)
+    assert calls == [(1, ["bound", "embed1", "omega1"]), (2, ["const1", "embed1"])]
+    assert [(r.id, r.dim) for r in reports] == [
+        ("bound", 1), ("const1", 2), ("embed1", 1), ("embed1", 2), ("omega1", 1)]
 
 
 def test_dilation_sweep_reports_matched_exponents():
     grid = GridSpec.box(1, 8.0, 128)
     families = [m.family for m in corpus_generate(SEED, 3, grid)]
-    rep = run(registry_map()["embed1"], 1, families, grid)
+    rep = run([registry_map()["embed1"]], 1, families, grid)[0]
     assert rep.dilation is not None
     assert rep.dilation["factors"] == [0.5, 1.0, 2.0]
     assert rep.dilation["matched"] is True
