@@ -42,7 +42,6 @@ __all__ = [
     "spectral_derivative",
     "h1_norm",
     "poisson",
-    "poisson_t_derivative",
     "default_time_grid",
     "ball_maximum",
     "vertical_maximal",
@@ -194,14 +193,6 @@ def poisson(f: GridFunction, t) -> GridFunction:
         raise ValueError(f"t must be positive, got {t}")
     F = transform(f)
     return inverse_transform(apply_multiplier(F, _poisson_multiplier(F.spec, t)), f.kind)
-
-
-def poisson_t_derivative(f: GridFunction, t) -> GridFunction:
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    F = transform(f)
-    m = _poisson_multiplier(F.spec, t, time_derivative=True)
-    return inverse_transform(apply_multiplier(F, m), f.kind)
 
 
 def default_time_grid(spec: GridSpec, levels=64) -> np.ndarray:

@@ -21,6 +21,7 @@ Lor(p,p) == Leb(p) hold to rounding.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -178,22 +179,32 @@ def _lebesgue_of_cells(a: np.ndarray, cell: float, p: float, axis=None):
     scalar at a time, so each equals the norm of its slice alone bit for bit
     (numpy's vectorised power may differ from the scalar one in the last bit).
     """
+    # a ** 1.0 is a copy in numpy, so skipping it changes no bit
+    powers = a if p == 1.0 else a ** p
     if axis is not None:
-        sums = np.sum(a ** p, axis=axis) * cell
+        sums = np.sum(powers, axis=axis) * cell
         return np.reshape([s ** (1.0 / p) for s in sums.ravel().tolist()], sums.shape)
     if a.size == 0:
         return 0.0
-    return float((np.sum(a ** p) * cell) ** (1.0 / p))
+    return float((np.sum(powers) * cell) ** (1.0 / p))
 
 
+@functools.lru_cache(maxsize=32)
 def _lorentz_weights(count: int, step: float, p: float, r: float) -> np.ndarray:
-    """w_i = integral of t^(r/p - 1) over [i*step, (i+1)*step], times r/p... inverse.
+    """Lorentz cell weights w_i = integral of t^(r/p - 1) dt over [i step, (i+1) step].
 
-    Closed form: (p/r) * step^(r/p) * ((i+1)^(r/p) - i^(r/p)).
+    Closed form, i = 0 .. count - 1:
+
+        w_i = (p/r) * step^(r/p) * ((i+1)^(r/p) - i^(r/p)).
+
+    The weights of the 32 most recently used (count, step, p, r) are cached,
+    so every caller shares the returned array: it is read-only.
     """
     i = np.arange(count + 1, dtype=float)
     powers = i ** (r / p)
-    return (p / r) * step ** (r / p) * np.diff(powers)
+    w = (p / r) * step ** (r / p) * np.diff(powers)
+    w.flags.writeable = False
+    return w
 
 
 def _lorentz_of_cells(a: np.ndarray, cell: float, p: float, r: float) -> float:
@@ -221,22 +232,19 @@ def lorentz_norm(f: GridFunction, p: float, r: float) -> float:
 def _inner_reduce(a: np.ndarray, axis: int, spec, step: float) -> np.ndarray:
     """Per-slice 1-d norm along `axis` of the nonnegative array a."""
     if isinstance(spec, Lebesgue):
-        return (np.sum(a ** spec.p, axis=axis) * step) ** (1.0 / spec.p)
-    if isinstance(spec, Lorentz):
-        srt = np.flip(np.sort(a, axis=axis), axis=axis)
-        w = _lorentz_weights(a.shape[axis], step, spec.p, spec.r)
-        shape = [1] * a.ndim
-        shape[axis] = -1
-        return np.sum(srt ** spec.r * w.reshape(shape), axis=axis) ** (1.0 / spec.r)
-    raise TypeError(f"inner norm must be Lebesgue or Lorentz, got {spec!r}")
+        powers = a if spec.p == 1.0 else a ** spec.p  # as in _lebesgue_of_cells
+        return (np.sum(powers, axis=axis) * step) ** (1.0 / spec.p)
+    srt = np.flip(np.sort(a, axis=axis), axis=axis)
+    w = _lorentz_weights(a.shape[axis], step, spec.p, spec.r)
+    shape = [1] * a.ndim
+    shape[axis] = -1
+    return np.sum(srt ** spec.r * w.reshape(shape), axis=axis) ** (1.0 / spec.r)
 
 
 def _outer_reduce(vals: np.ndarray, cell: float, spec) -> float:
     if isinstance(spec, Lebesgue):
         return _lebesgue_of_cells(vals.ravel(), cell, spec.p)
-    if isinstance(spec, Lorentz):
-        return _lorentz_of_cells(vals.ravel(), cell, spec.p, spec.r)
-    raise TypeError(f"outer norm must be Lebesgue or Lorentz, got {spec!r}")
+    return _lorentz_of_cells(vals.ravel(), cell, spec.p, spec.r)
 
 
 def mixed_norm(f: GridFunction, spec: Mixed) -> float:
@@ -278,17 +286,34 @@ def norm_of_values(values: np.ndarray, grid, spec: NormSpec) -> float:
     """
     if isinstance(spec, str):
         spec = parse_norm(spec)
-    a = np.abs(values)
+    _check_values_spec(grid, spec)
+    return _norm_of_abs(np.abs(values), grid, spec)
+
+
+def _check_values_spec(grid, spec) -> None:
+    """Raise the error norm_of_values gives for a spec it cannot evaluate on grid."""
+    if isinstance(spec, (Lebesgue, Lorentz)):
+        return
+    if not isinstance(spec, Mixed):
+        raise TypeError(f"unsupported norm spec for raw arrays: {spec!r}")
+    if grid.dim < 2:
+        raise ValueError("mixed norms need dim >= 2")
+    if not spec.axis < grid.dim:
+        raise ValueError(f"axis {spec.axis} out of range for dim {grid.dim}")
+    for part, name in ((spec.inner, "inner"), (spec.outer, "outer")):
+        if not isinstance(part, (Lebesgue, Lorentz)):
+            raise TypeError(f"{name} norm must be Lebesgue or Lorentz, got {part!r}")
+
+
+def _norm_of_abs(a: np.ndarray, grid, spec: NormSpec) -> float:
+    """norm_of_values of the nonnegative array a, for a spec that passed the check.
+
+    a is only read, so a caller may pass a scratch buffer it reuses.
+    """
     if isinstance(spec, Lebesgue):
         return _lebesgue_of_cells(a.ravel(), grid.cell_volume, spec.p)
     if isinstance(spec, Lorentz):
         return _lorentz_of_cells(a.ravel(), grid.cell_volume, spec.p, spec.r)
-    if isinstance(spec, Mixed):
-        if grid.dim < 2:
-            raise ValueError("mixed norms need dim >= 2")
-        if not spec.axis < grid.dim:
-            raise ValueError(f"axis {spec.axis} out of range for dim {grid.dim}")
-        step = grid.spacing[spec.axis]
-        inner_vals = _inner_reduce(a, spec.axis, spec.inner, step)
-        return _outer_reduce(inner_vals, grid.cell_volume / step, spec.outer)
-    raise TypeError(f"unsupported norm spec for raw arrays: {spec!r}")
+    step = grid.spacing[spec.axis]
+    inner_vals = _inner_reduce(a, spec.axis, spec.inner, step)
+    return _outer_reduce(inner_vals, grid.cell_volume / step, spec.outer)

@@ -9,8 +9,12 @@ the difference is exactly -f and its norm is the norm of f.
 
 difference_norms is the one kernel behind every difference norm here: the
 moduli of smoothness, the Besov sums and the 1-d tail integrals all read
-from it.  Moduli come from one table of signed running maxima, which stops
-at shift N since the modulus is constant beyond it.
+from it.  It allocates no array per shift: real 1-d samples with a Lebesgue
+base are gathered and reduced in batches from one window view, and every
+other in-box shift reuses one scratch array of the shape and layout of
+f.values for its difference and absolute value, which is reduced in place.
+Moduli come from one table of signed running maxima, which stops at shift N
+since the modulus is constant beyond it.
 
 Besov-type quantities integrate h^(-alpha) times a difference norm against
 dh/h over a geometric h-window.  Outside the window the integral is completed
@@ -30,8 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .gridfn import GridFunction, GridSpec
-from .norms import (Lebesgue, NormSpec, _lebesgue_of_cells, format_norm, norm_of_values,
-                    parse_norm)
+from .norms import (Lebesgue, NormSpec, _check_values_spec, _lebesgue_of_cells, _norm_of_abs,
+                    format_norm, norm_of_values, parse_norm)
 from .quadrature import log_midpoint_nodes
 from .rearrange import decreasing_rearrangement, double_star
 
@@ -74,13 +78,16 @@ def _integer_multiples(multiples) -> np.ndarray:
     return ms.astype(np.int64)
 
 
-def _difference_values(values: np.ndarray, axis, m: int) -> np.ndarray:
+def _difference_values(values: np.ndarray, axis, m: int, out=None) -> np.ndarray:
     """Samples of f(x + m h e_axis) - f(x), zero fill outside the box.
 
     Only the overlap is subtracted; the tail is 0 - f, so every value equals
-    that of the zero-filled shift minus f bit for bit.
+    that of the zero-filled shift minus f bit for bit.  Every element of
+    out (a fresh array when None) is written, so a scratch buffer of the
+    shape of values can be reused across shifts.
     """
-    out = np.empty_like(values)
+    if out is None:
+        out = np.empty_like(values)
     v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
     n = v.shape[0]
     k = min(abs(m), n)
@@ -127,28 +134,39 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     """Norms of f(. + m h e_axis) - f at the given shift multiples m.
 
     Contract: axis lies in [0, dim), every multiple is an integer (integral
-    floats are accepted; any other value raises ValueError), and points
-    shifted outside the box count as zero.  Shift 0 has norm 0.  For |m| >= N,
-    N the points on the axis, the difference is exactly -f, so its norm is
-    the norm of f, computed once per call.  Other shifts subtract on the
-    overlap only; with a 1-d Lebesgue base they are reduced in batches.
+    floats are accepted; any other value raises ValueError), base is a norm
+    norm_of_values can evaluate on the grid (checked on entry, with its
+    errors, whatever the shifts), and points shifted outside the box count as
+    zero.  Shift 0 has norm 0.  For |m| >= N, N the points on the axis, the
+    difference is exactly -f, so its norm is the norm of f, computed once per
+    call.  Other shifts subtract on the overlap only.  For real 1-d samples
+    and a Lebesgue base they are reduced in batches.  Otherwise each call
+    allocates one scratch array of the shape and layout of f.values (and one
+    real one for the absolute values of complex samples); every shift writes
+    its difference and absolute value there and reduces it along the
+    original axes, so each norm equals that of a fresh difference bit for bit.
     """
     if isinstance(base, str):
         base = parse_norm(base)
     _check_axis(f, axis)
     ms = _integer_multiples(multiples)
     grid, vals = f.spec, f.values
+    _check_values_spec(grid, base)
     n = grid.points[axis]
     out = np.zeros(ms.size)
     outside = np.abs(ms) >= n
     if outside.any():
         out[outside] = norm_of_values(vals, grid, base)
     inside = np.flatnonzero((ms != 0) & ~outside)
-    if grid.dim == 1 and isinstance(base, Lebesgue):
+    if grid.dim == 1 and isinstance(base, Lebesgue) and np.isrealobj(vals):
         out[inside] = _lebesgue_rows(vals, ms[inside], grid.cell_volume, base.p)
-    else:
+    elif inside.size:
+        buf = np.empty_like(vals)
+        # complex samples need a real array for the absolute values
+        mag = buf if np.isrealobj(buf) else np.empty_like(vals, dtype=float)
         for i in inside:
-            out[i] = norm_of_values(_difference_values(vals, axis, int(ms[i])), grid, base)
+            np.abs(_difference_values(vals, axis, int(ms[i]), out=buf), out=mag)
+            out[i] = _norm_of_abs(mag, grid, base)
     return out
 
 

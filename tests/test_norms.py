@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ineqkit import norms
 from ineqkit.gridfn import GridFunction, GridSpec
 from ineqkit.norms import (IteratedLorentz, Lebesgue, Lorentz, Mixed,
                            format_norm, iterated_lorentz_norm, lorentz_norm,
@@ -68,6 +69,18 @@ def test_norms_vanish_on_zero(grid1):
     z = GridFunction(grid1, np.zeros(grid1.shape))
     assert lp_norm(z, 2) == 0.0
     assert lorentz_norm(z, 2, 1) == 0.0
+
+
+def test_lorentz_weights_are_cached_read_only():
+    for count, step, p, r in ((5, 0.25, 1.5, 1.0), (64, 1.0 / 16, 2.0, 0.5), (1, 3.0, 4.0, 2.0)):
+        i = np.arange(count + 1, dtype=float)
+        want = (p / r) * step ** (r / p) * np.diff(i ** (r / p))
+        w = norms._lorentz_weights(count, step, p, r)
+        assert np.array_equal(w, want)
+        assert not w.flags.writeable
+        assert norms._lorentz_weights(count, step, p, r) is w
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 @given(c=st.floats(min_value=0.01, max_value=100.0),

@@ -5,7 +5,8 @@ import pytest
 
 from ineqkit import smoothness
 from ineqkit.gridfn import FamilySpec, GridFunction, GridSpec, corpus_generate, sample_member
-from ineqkit.norms import Lebesgue, lp_norm, norm_of_values, parse_norm
+from ineqkit.norms import (IteratedLorentz, Lebesgue, Mixed, lp_norm, norm_of_values,
+                           parse_norm)
 from ineqkit.smoothness import (BesovSpec, besov_seminorm, difference,
                                 difference_norms, modulus, ulyanov_pointwise,
                                 ulyanov_tail)
@@ -83,26 +84,49 @@ def _oracle_shifts(n):
     return np.array([0, 1, -1, n - 1, 1 - n, n, -n, 2 * n, -2 * n, 3, -5])
 
 
+def _reuse_shifts(n):
+    # each shift's tail lies where the previous shift wrote its overlap
+    return np.array([1, -(n - 1), n - 1, -1, n, -2 * n, 0])
+
+
+def _oracle_bases(dim):
+    texts = ["Leb(1)", "Leb(1.5)", "Leb(2)", "Lor(1.5,1)", "Lor(2,0.5)"]
+    if dim > 1:
+        for k in range(dim):
+            texts += [f"Mix({k};Leb(1);Lor(1.5,1))", f"Mix({k};Lor(1.5,1);Leb(1))"]
+    return texts
+
+
 @pytest.mark.parametrize("grid, bases", [
     # 512 points: the in-box shifts span several batches of the 1-d kernel
-    (GridSpec.box(1, 8.0, 512), ["Leb(1)", "Leb(2)", "Lor(1.5,1)"]),
-    (GridSpec.box(2, 4.0, 16), ["Leb(1)", "Leb(2)", "Lor(1.5,1)",
-                                "Mix(0;Leb(1);Lor(1.5,1))", "Mix(1;Leb(1);Lor(1.5,1))"]),
-    (GridSpec.box(3, 4.0, 8), ["Leb(1)", "Leb(2)", "Lor(1.5,1)",
-                               "Mix(0;Leb(1);Lor(1.5,1))", "Mix(2;Leb(1);Lor(1.5,1))"]),
+    (grid, _oracle_bases(grid.dim))
+    for grid in (GridSpec.box(1, 8.0, 512), GridSpec.box(2, 4.0, 16), GridSpec.box(3, 4.0, 8))
 ])
 def test_difference_norms_match_naive_loop(grid, bases):
-    members = corpus_generate(SEED, 3, grid)
+    fs = [member.f for member in corpus_generate(SEED, 3, grid)]
+    # complex samples, and a Fortran-ordered copy whose sums run in its own layout
+    fs.append(fs[0].scaled(0.5 - 2j))
+    if grid.dim > 1:
+        fs.append(GridFunction(grid, np.asfortranarray(fs[1].values)))
     for text in bases:
         base = parse_norm(text)
-        for member in members:
+        for f in fs:
             for axis in range(grid.dim):
                 n = grid.points[axis]
-                ms = np.arange(-2 * n, 2 * n + 1) if grid.dim == 1 else _oracle_shifts(n)
-                got = difference_norms(member.f, axis, ms, base)
-                want = _naive_difference_norms(member.f, axis, ms, base)
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
-                                           err_msg=f"{text} axis {axis}")
+                seqs = [_reuse_shifts(n)]
+                seqs.append(np.arange(-2 * n, 2 * n + 1) if grid.dim == 1 else _oracle_shifts(n))
+                for ms in seqs:
+                    got = difference_norms(f, axis, ms, base)
+                    want = _naive_difference_norms(f, axis, ms, base)
+                    assert np.array_equal(got, want), f"{text} axis {axis} shifts {ms}"
+
+
+def test_difference_norms_leave_values_unchanged(corpus1, corpus3):
+    for f, base in ((corpus1[0].f, "Leb(1)"), (corpus1[0].f, "Lor(1.5,1)"),
+                    (corpus3[0].f, "Mix(1;Leb(1);Lor(1.5,1))")):
+        before = f.values.copy()
+        difference_norms(f, 0, _reuse_shifts(f.spec.points[0]), parse_norm(base))
+        assert np.array_equal(f.values, before)
 
 
 def test_difference_norms_batch_boundary(corpus1, monkeypatch):
@@ -112,8 +136,7 @@ def test_difference_norms_batch_boundary(corpus1, monkeypatch):
     ms = np.arange(-300, 301)
     for p in (1.0, 2.0):
         got = difference_norms(f, 0, ms, Lebesgue(p))
-        want = _naive_difference_norms(f, 0, ms, Lebesgue(p))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got, _naive_difference_norms(f, 0, ms, Lebesgue(p)))
 
 
 def test_difference_norms_reject_bad_input(corpus1, corpus2):
@@ -127,6 +150,14 @@ def test_difference_norms_reject_bad_input(corpus1, corpus2):
             difference_norms(f, axis, [1], Lebesgue(1.0))
     with pytest.raises(ValueError):
         difference_norms(corpus2[0].f, 2, [1], Lebesgue(1.0))
+    # the base is checked whatever the shifts, with norm_of_values' errors
+    for ms in ([0], [], [1]):
+        with pytest.raises(ValueError, match="mixed norms need dim >= 2"):
+            difference_norms(f, 0, ms, Mixed(0, Lebesgue(1.0), Lebesgue(1.0)))
+        with pytest.raises(TypeError, match="unsupported norm spec"):
+            difference_norms(f, 0, ms, IteratedLorentz(2.0, 1.0))
+        with pytest.raises(ValueError, match="out of range"):
+            difference_norms(corpus2[0].f, 0, ms, Mixed(2, Lebesgue(1.0), Lebesgue(1.0)))
     # integral floats are integer multiples
     assert np.array_equal(difference_norms(f, 0, [2.0, -3.0], Lebesgue(1.0)),
                           difference_norms(f, 0, [2, -3], Lebesgue(1.0)))
