@@ -87,9 +87,6 @@ class SpectralFunction:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def abs_values(self) -> np.ndarray:
-        return np.abs(self.values)
-
     def scaled(self, c) -> "SpectralFunction":
         return SpectralFunction(self.spec, self.values * c)
 

@@ -165,9 +165,6 @@ class GridFunction:
     def cell_volume(self) -> float:
         return self.spec.cell_volume
 
-    def abs_values(self) -> np.ndarray:
-        return np.abs(self.values)
-
     def scaled(self, c) -> "GridFunction":
         kind = "complex" if (self.kind == "complex" or np.iscomplexobj(np.asarray(c))) else "real"
         return GridFunction(self.spec, self.values * c, kind)

@@ -103,7 +103,8 @@ class DecreasingProfile:
         full = np.concatenate(([0.0], self._cum_integral))[idx]
         prev_break = np.concatenate(([0.0], breaks))[idx]
         padded_vals = np.append(self.values, 0.0)
-        partial = padded_vals[idx] * np.clip(t - prev_break, 0.0, None)
+        # past the support the partial run is empty, also at t = inf (no 0 * inf)
+        partial = padded_vals[idx] * np.clip(np.minimum(t, breaks[-1]) - prev_break, 0.0, None)
         out = full + partial
         return out if t.shape else float(out)
 

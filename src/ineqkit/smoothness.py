@@ -11,8 +11,22 @@ difference_norms is the one kernel behind every difference norm here: the
 moduli of smoothness, the Besov sums and the 1-d tail integrals all read
 from it.  It allocates no array per shift: real 1-d samples with a Lebesgue
 base are gathered and reduced in batches from one window view, and every
-other in-box shift reuses one scratch array of the shape and layout of
-f.values for its difference and absolute value, which is reduced in place.
+other in-box shift reuses one scratch array for its difference and absolute
+value, which is reduced in place.  Every norm equals that of a fresh
+zero-filled difference of the whole array bit for bit:
+
+- The overlap of C-contiguous samples is subtracted in one pass over the
+  flattened array along any axis; the elements whose partner crossed into
+  the next line lie in the tail, which is then filled with 0 - f.
+- Lorentz and Mixed bases work on the support: f is cropped to the bounding
+  box of its nonzero samples along the axes where the difference vanishes
+  on whole lines (all but the shift axis, and for Mixed also its inner
+  axis).  A Lorentz norm drops zeros before it sorts; a Mixed base writes
+  the cropped inner norms into a zero-filled table of the full shape and
+  reduces that table, since the inner norm of a zero line is exactly 0.
+  Lebesgue bases are not cropped: their pairwise sums over the whole array
+  would group other elements.
+
 Moduli come from one table of signed running maxima, which stops at shift N
 since the modulus is constant beyond it.
 
@@ -34,8 +48,9 @@ from typing import Optional
 import numpy as np
 
 from .gridfn import GridFunction, GridSpec
-from .norms import (Lebesgue, NormSpec, _check_values_spec, _lebesgue_of_cells, _norm_of_abs,
-                    format_norm, norm_of_values, parse_norm)
+from .norms import (Lebesgue, Lorentz, Mixed, NormSpec, _check_values_spec, _inner_reduce,
+                    _lebesgue_of_cells, _norm_of_abs, _outer_reduce, format_norm,
+                    norm_of_values, parse_norm)
 from .quadrature import log_midpoint_nodes
 from .rearrange import decreasing_rearrangement, double_star
 
@@ -82,21 +97,34 @@ def _difference_values(values: np.ndarray, axis, m: int, out=None) -> np.ndarray
     """Samples of f(x + m h e_axis) - f(x), zero fill outside the box.
 
     Only the overlap is subtracted; the tail is 0 - f, so every value equals
-    that of the zero-filled shift minus f bit for bit.  Every element of
-    out (a fresh array when None) is written, so a scratch buffer of the
-    shape of values can be reused across shifts.
+    that of the zero-filled shift minus f bit for bit.  When values and out
+    are both C-contiguous the overlap is one subtraction on the flattened
+    arrays, whatever the axis: x + m e_axis lies m times the axis stride
+    further along the flat order, and every element whose partner crossed
+    into the next line lies in the tail, which the tail fill then
+    overwrites.  Each element is one subtraction of the same two samples
+    either way.  Every element of out (a fresh array when None) is written,
+    so a scratch buffer of the shape of values can be reused across shifts.
     """
     if out is None:
         out = np.empty_like(values)
-    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
-    n = v.shape[0]
+    n = values.shape[axis]
     k = min(abs(m), n)
-    if m >= 0:
-        np.subtract(v[k:], v[:n - k], out=o[:n - k])
-        np.subtract(0.0, v[n - k:], out=o[n - k:])
+    head = (slice(None),) * axis
+    if values.flags.c_contiguous and out.flags.c_contiguous:
+        v, o = values.reshape(-1), out.reshape(-1)
+        d = k * math.prod(values.shape[axis + 1:])
+        lo, hi = slice(None, v.size - d), slice(d, None)
     else:
-        np.subtract(v[:n - k], v[k:], out=o[k:])
-        np.subtract(0.0, v[:k], out=o[:k])
+        v, o = values, out
+        lo, hi = head + (slice(None, n - k),), head + (slice(k, None),)
+    if m >= 0:
+        np.subtract(v[hi], v[lo], out=o[lo])
+        tail = head + (slice(n - k, None),)
+    else:
+        np.subtract(v[lo], v[hi], out=o[hi])
+        tail = head + (slice(None, k),)
+    np.subtract(0.0, values[tail], out=out[tail])
     return out
 
 
@@ -130,6 +158,34 @@ def _lebesgue_rows(values: np.ndarray, ms: np.ndarray, cell: float, p: float) ->
     return out
 
 
+def _crop_axes(base: NormSpec, axis, dim: int) -> list[int]:
+    """Axes along which base ignores lines on which the difference vanishes.
+
+    A Lorentz norm drops zero cells before it sorts, and a mixed norm's
+    inner norm of an all-zero line is exactly 0.  The shift axis is never
+    cropped, since shifting moves the support along it, nor is a mixed
+    norm's inner axis, whose sums would run over other elements.  A
+    Lebesgue norm sums the whole array pairwise, so no crop keeps its bits.
+    """
+    if isinstance(base, Lorentz):
+        keep = {axis}
+    elif isinstance(base, Mixed):
+        keep = {axis, base.axis}
+    else:
+        return []
+    return [d for d in range(dim) if d not in keep]
+
+
+def _support_box(values: np.ndarray, axes) -> tuple:
+    """Index of the bounding box of the nonzero samples along axes, whole elsewhere."""
+    box = [slice(None)] * values.ndim
+    for d in axes:
+        others = tuple(j for j in range(values.ndim) if j != d)
+        hits = np.flatnonzero(np.any(values != 0, axis=others))
+        box[d] = slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
+    return tuple(box)
+
+
 def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.ndarray:
     """Norms of f(. + m h e_axis) - f at the given shift multiples m.
 
@@ -140,11 +196,21 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     zero.  Shift 0 has norm 0.  For |m| >= N, N the points on the axis, the
     difference is exactly -f, so its norm is the norm of f, computed once per
     call.  Other shifts subtract on the overlap only.  For real 1-d samples
-    and a Lebesgue base they are reduced in batches.  Otherwise each call
-    allocates one scratch array of the shape and layout of f.values (and one
-    real one for the absolute values of complex samples); every shift writes
-    its difference and absolute value there and reduces it along the
-    original axes, so each norm equals that of a fresh difference bit for bit.
+    and a Lebesgue base they are reduced in batches.
+
+    Otherwise the call crops f once to the bounding box of its nonzero
+    samples along every axis but the shift axis for a Lorentz base, and
+    along every axis but the shift axis and base.axis for a Mixed base; a
+    Lebesgue base is not cropped.  Outside that box f, and with it the
+    difference, vanishes on every line along the shift axis.  A Lorentz norm
+    drops those zeros before it sorts.  A Mixed base writes the inner norms
+    of the block into a zero-filled table of the full shape and reduces that
+    table, so the outer sums run in the same order.  The block keeps the
+    layout of f.values, so the inner sums do too.  The call allocates one
+    scratch array of the block's shape (and one real one for the absolute
+    values of complex samples), and each norm equals that of a fresh
+    difference of the whole array bit for bit.  The crop depends only on the
+    data: a function with no zero sample runs on the whole grid.
     """
     if isinstance(base, str):
         base = parse_norm(base)
@@ -161,12 +227,25 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     if grid.dim == 1 and isinstance(base, Lebesgue) and np.isrealobj(vals):
         out[inside] = _lebesgue_rows(vals, ms[inside], grid.cell_volume, base.p)
     elif inside.size:
-        buf = np.empty_like(vals)
+        box = _support_box(vals, _crop_axes(base, axis, grid.dim))
+        sub = vals[box]
+        if sub.shape != vals.shape:
+            # order "K" keeps the layout, so the inner sums run as on the whole array
+            sub = sub.copy(order="K")
+        buf = np.empty_like(sub)
         # complex samples need a real array for the absolute values
-        mag = buf if np.isrealobj(buf) else np.empty_like(vals, dtype=float)
+        mag = buf if np.isrealobj(buf) else np.empty_like(sub, dtype=float)
+        if isinstance(base, Mixed):
+            step = grid.spacing[base.axis]
+            table = np.zeros(vals.shape[:base.axis] + vals.shape[base.axis + 1:])
+            at = box[:base.axis] + box[base.axis + 1:]
         for i in inside:
-            np.abs(_difference_values(vals, axis, int(ms[i]), out=buf), out=mag)
-            out[i] = _norm_of_abs(mag, grid, base)
+            np.abs(_difference_values(sub, axis, int(ms[i]), out=buf), out=mag)
+            if isinstance(base, Mixed):
+                table[at] = _inner_reduce(mag, base.axis, base.inner, step)
+                out[i] = _outer_reduce(table, grid.cell_volume / step, base.outer)
+            else:
+                out[i] = _norm_of_abs(mag, grid, base)
     return out
 
 
@@ -191,10 +270,13 @@ def _moduli_at(f: GridFunction, axis, ts, base: NormSpec) -> np.ndarray:
     """Moduli of smoothness at the radii ts >= 0, from one running-max table.
 
     The table is a prefix running max, so every value equals the one the
-    radius would get from a table of its own.
+    radius would get from a table of its own.  The modulus is constant from
+    t = N h on, so the multiples are capped at N, which also serves t = inf.
     """
-    step = f.spec.spacing[axis]
-    ms = np.array([math.floor(t / step + 1e-9) for t in ts], dtype=np.int64)
+    if any(math.isnan(t) for t in ts):
+        raise ValueError("t must not be NaN")
+    step, n = f.spec.spacing[axis], f.spec.points[axis]
+    ms = np.array([math.floor(min(t / step + 1e-9, n)) for t in ts], dtype=np.int64)
     out = np.zeros(ms.size)
     pos = ms > 0
     if pos.any():
@@ -203,7 +285,10 @@ def _moduli_at(f: GridFunction, axis, ts, base: NormSpec) -> np.ndarray:
 
 
 def modulus(f: GridFunction, axis, t, base: NormSpec) -> float:
-    """Modulus of smoothness: max difference norm over grid shifts |h| <= t."""
+    """Modulus of smoothness: max difference norm over grid shifts |h| <= t.
+
+    t = inf gives the value at t = N h, past which the modulus is constant.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
     _check_axis(f, axis)
@@ -306,6 +391,8 @@ def _measures(t) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValueError("t must be a scalar or a 1-d array")
+    if np.isnan(ts).any():
+        raise ValueError("t must not be NaN")
     if np.any(ts <= 0):
         raise ValueError("t must be positive")
     return ts

@@ -1,5 +1,7 @@
 """Differences, moduli, Besov-type seminorms, and the 1-d pointwise estimates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,21 +95,39 @@ def _oracle_bases(dim):
     texts = ["Leb(1)", "Leb(1.5)", "Leb(2)", "Lor(1.5,1)", "Lor(2,0.5)"]
     if dim > 1:
         for k in range(dim):
-            texts += [f"Mix({k};Leb(1);Lor(1.5,1))", f"Mix({k};Lor(1.5,1);Leb(1))"]
+            texts += [f"Mix({k};Leb(1);Lor(1.5,1))", f"Mix({k};Lor(1.5,1);Leb(1))",
+                      # exponents that numpy raises with its vectorised power
+                      f"Mix({k};Leb(1.5);Lor(2,1.5))", f"Mix({k};Lor(2,1.5);Leb(1.5))"]
     return texts
+
+
+def _support_cases(grid):
+    """Members whose support box is empty, one corner cell, or reaches the box edge."""
+    rng = np.random.default_rng(SEED)
+    n = grid.points
+    corner = np.zeros(grid.shape)
+    corner[tuple(k - 1 for k in n)] = 1.7
+    edge = np.zeros(grid.shape)
+    # from the first cell on axis 0 to the last one on the last axis
+    block = [slice(k // 4, k - k // 3) for k in n]
+    block[0], block[-1] = slice(0, n[0] // 3), slice(n[-1] - n[-1] // 4, n[-1])
+    edge[tuple(block)] = rng.standard_normal(edge[tuple(block)].shape)
+    return [GridFunction(grid, np.zeros(grid.shape)), GridFunction(grid, corner),
+            GridFunction(grid, edge)]
 
 
 @pytest.mark.parametrize("grid, bases", [
     # 512 points: the in-box shifts span several batches of the 1-d kernel
     (grid, _oracle_bases(grid.dim))
-    for grid in (GridSpec.box(1, 8.0, 512), GridSpec.box(2, 4.0, 16), GridSpec.box(3, 4.0, 8))
+    for grid in (GridSpec.box(1, 8.0, 512), GridSpec.box(2, 4.0, 32), GridSpec.box(3, 4.0, 16))
 ])
 def test_difference_norms_match_naive_loop(grid, bases):
-    fs = [member.f for member in corpus_generate(SEED, 3, grid)]
-    # complex samples, and a Fortran-ordered copy whose sums run in its own layout
+    # the six families: compact members crop to their support, Gaussians do not
+    fs = [member.f for member in corpus_generate(SEED, 6, grid)] + _support_cases(grid)
+    # complex samples, and Fortran-ordered copies whose sums run in their own layout
     fs.append(fs[0].scaled(0.5 - 2j))
     if grid.dim > 1:
-        fs.append(GridFunction(grid, np.asfortranarray(fs[1].values)))
+        fs += [GridFunction(grid, np.asfortranarray(f.values)) for f in fs[:9]]
     for text in bases:
         base = parse_norm(text)
         for f in fs:
@@ -119,6 +139,39 @@ def test_difference_norms_match_naive_loop(grid, bases):
                     got = difference_norms(f, axis, ms, base)
                     want = _naive_difference_norms(f, axis, ms, base)
                     assert np.array_equal(got, want), f"{text} axis {axis} shifts {ms}"
+
+
+def _moveaxis_difference(values, axis, m):
+    """Reference: overlap subtraction and tail fill on the axis moved to the front."""
+    out = np.empty_like(values)
+    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    n = v.shape[0]
+    k = min(abs(m), n)
+    if m >= 0:
+        np.subtract(v[k:], v[:n - k], out=o[:n - k])
+        np.subtract(0.0, v[n - k:], out=o[n - k:])
+    else:
+        np.subtract(v[:n - k], v[k:], out=o[k:])
+        np.subtract(0.0, v[:k], out=o[:k])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (6, 5, 4)])
+def test_difference_values_match_moveaxis_oracle(shape):
+    rng = np.random.default_rng(SEED)
+    real = rng.standard_normal(shape)
+    arrays = [real, np.asfortranarray(real), real + 1j * rng.standard_normal(shape),
+              # a non-contiguous view takes the strided path
+              rng.standard_normal(tuple(2 * k for k in shape))[(slice(None, None, 2),) * len(shape)]]
+    for values in arrays:
+        for axis, n in enumerate(shape):
+            for m in (1, -1, n - 1, 1 - n, n, -n, 2 * n, -2 * n):
+                want = _moveaxis_difference(values, axis, m)
+                assert np.array_equal(smoothness._difference_values(values, axis, m), want)
+                # a reused buffer: every element is overwritten
+                out = np.full_like(values, np.nan)
+                assert smoothness._difference_values(values, axis, m, out=out) is out
+                assert np.array_equal(out, want)
 
 
 def test_difference_norms_leave_values_unchanged(corpus1, corpus3):
@@ -184,6 +237,22 @@ def test_modulus_rejects_bad_axis(corpus1, corpus2):
         for t in (0.0, 1.0):
             with pytest.raises(ValueError, match="out of range"):
                 modulus(f, axis, t, Lebesgue(1.0))
+
+
+def test_nonfinite_radii(corpus1):
+    f = corpus1[2].f
+    base = Lebesgue(1.0)
+    # the modulus is constant from t = N h on, so t = inf gives the capped value
+    assert modulus(f, 0, math.inf, base) == modulus(f, 0, 1e6, base) > 0.0
+    # the running average and t^(-1/p) both vanish at t = inf
+    assert ulyanov_pointwise(f, 1.0, math.inf) == (0.0, 0.0)
+    assert ulyanov_tail(f, 1.0, math.inf) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="NaN"):
+        modulus(f, 0, math.nan, base)
+    for fn in (ulyanov_tail, ulyanov_pointwise):
+        for bad in (math.nan, [1.0, math.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                fn(f, 1.0, bad)
 
 
 def test_modulus_basics(corpus1):
