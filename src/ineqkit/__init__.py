@@ -13,10 +13,9 @@ from .rearrange import (DecreasingProfile, IteratedProfile,
                         double_star, iterated_rearrangement)
 from .smoothness import (BesovSpec, besov_seminorm, difference, modulus,
                          ulyanov_pointwise, ulyanov_tail)
-from .hardyops import (RaySamples, doublestar_bound_check, hardy_check,
-                       quasi_decreasing_hardy_check)
+from .hardyops import RaySamples, doublestar_bound_check, hardy_check
 from .fourier import (SpectralFunction, dual_grid, h1_norm, inverse_transform,
-                      poisson, riesz, transform)
+                      riesz, transform)
 from .verify import probe, registry, run, run_all
 
 __version__ = "0.1.0"
@@ -33,9 +32,8 @@ __all__ = [
     "BesovSpec", "besov_seminorm", "difference", "modulus",
     "ulyanov_pointwise", "ulyanov_tail",
     "RaySamples", "doublestar_bound_check", "hardy_check",
-    "quasi_decreasing_hardy_check",
     "SpectralFunction", "dual_grid", "h1_norm", "inverse_transform",
-    "poisson", "riesz", "transform",
+    "riesz", "transform",
     "probe", "registry", "run", "run_all",
     "__version__",
 ]

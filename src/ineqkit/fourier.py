@@ -8,16 +8,15 @@ DFT sense: Parseval holds to rounding, and for smooth functions with
 negligible box tails the samples approximate the continuous transform with
 spectral accuracy.
 
-On top of the transform: Riesz and Poisson multipliers, maximal functions
-over truncated cones, per-axis slab suprema of |F|, and sphere / dyadic-shell
-/ cube-face functionals of the spectrum.
+On top of the transform: Riesz multipliers and the H^1 norm, the cone
+comparison of the Poisson extension's t-derivative with its conjugate
+pieces, per-axis slab suprema of |F|, and sphere / dyadic-shell / cube-face
+functionals of the spectrum.
 """
 
 from __future__ import annotations
 
 import functools
-import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy.ndimage import map_coordinates, maximum_filter1d
 
-from .gridfn import FORMAT_VERSION, GridFunction, GridSpec, _atomic_write
+from .gridfn import GridFunction, GridSpec
 from .norms import lp_norm
 from .quadrature import segment_integral
 from .rearrange import decreasing_rearrangement, double_star
@@ -39,13 +38,9 @@ __all__ = [
     "apply_multiplier",
     "frequency_radii",
     "riesz",
-    "spectral_derivative",
     "h1_norm",
-    "poisson",
     "default_time_grid",
     "ball_maximum",
-    "vertical_maximal",
-    "nontangential_maximal",
     "cone_derivative_check",
     "slab_sup",
     "sup_integral_functional",
@@ -54,11 +49,8 @@ __all__ = [
     "dyadic_shell_terms",
     "dyadic_shell_sum",
     "cube_shell_sum",
-    "cube_face_vs_annulus",
     "WeightedIntegral",
     "weighted_fourier_integral",
-    "save_spectral",
-    "load_spectral",
 ]
 
 MEAN_TOL = 1e-8
@@ -86,9 +78,6 @@ class SpectralFunction:
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def scaled(self, c) -> "SpectralFunction":
-        return SpectralFunction(self.spec, self.values * c)
 
 
 def transform(f: GridFunction) -> SpectralFunction:
@@ -160,14 +149,6 @@ def riesz(f: GridFunction, j) -> GridFunction:
     return inverse_transform(out, f.kind)
 
 
-def spectral_derivative(f: GridFunction, j) -> GridFunction:
-    if not 0 <= j < f.spec.dim:
-        raise ValueError(f"axis {j} out of range")
-    F = transform(f)
-    xi_j = F.spec.meshgrid()[j]
-    return inverse_transform(apply_multiplier(F, 2j * np.pi * xi_j), f.kind)
-
-
 def h1_norm(f: GridFunction) -> float:
     """||f||_1 plus the L^1 norms of all Riesz transforms (truncated domain)."""
     total = lp_norm(f, 1)
@@ -176,27 +157,16 @@ def h1_norm(f: GridFunction) -> float:
     return float(total)
 
 
-def _poisson_multiplier(spec: GridSpec, t, time_derivative=False) -> np.ndarray:
+def _poisson_multiplier(spec: GridSpec, t) -> np.ndarray:
     r = frequency_radii(spec)
-    m = np.exp(-2.0 * np.pi * r * t)
-    if time_derivative:
-        m = -2.0 * np.pi * r * m
-    return m
+    return np.exp(-2.0 * np.pi * r * t)
 
 
-def poisson(f: GridFunction, t) -> GridFunction:
-    """Harmonic extension to height t (Poisson kernel convolution)."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    F = transform(f)
-    return inverse_transform(apply_multiplier(F, _poisson_multiplier(F.spec, t)), f.kind)
-
-
-def default_time_grid(spec: GridSpec, levels=64) -> np.ndarray:
-    """Geometric heights [min spacing / 4, 8 max extent] for maximal functions."""
+def default_time_grid(spec: GridSpec) -> np.ndarray:
+    """64 geometric heights in [min spacing / 4, 8 max extent] for the cone sups."""
     lo = min(spec.spacing) / 4.0
     hi = 8.0 * max(spec.half_extents)
-    return np.geomspace(lo, hi, levels)
+    return np.geomspace(lo, hi, 64)
 
 
 def ball_maximum(values: np.ndarray, spec: GridSpec, radius: float) -> np.ndarray:
@@ -248,37 +218,6 @@ def ball_maximum(values: np.ndarray, spec: GridSpec, radius: float) -> np.ndarra
     return out
 
 
-def _poisson_stack(f: GridFunction, t_grid, time_derivative=False):
-    F = transform(f)
-    for t in t_grid:
-        m = _poisson_multiplier(F.spec, t, time_derivative)
-        yield t, np.abs(inverse_transform(apply_multiplier(F, m), "complex").values)
-
-
-def vertical_maximal(f: GridFunction, t_grid=None) -> GridFunction:
-    """sup over sampled heights t of |(P_t * f)(x)|."""
-    if t_grid is None:
-        t_grid = default_time_grid(f.spec)
-    if len(t_grid) == 0:
-        raise ValueError("t_grid must not be empty")
-    out = np.zeros(f.spec.shape)
-    for _, u in _poisson_stack(f, t_grid):
-        np.maximum(out, u, out=out)
-    return GridFunction(f.spec, out)
-
-
-def nontangential_maximal(f: GridFunction, t_grid=None, time_derivative=False) -> GridFunction:
-    """sup of |P_t * f| (or of its t-derivative) over the sampled cone |x-y| <= t."""
-    if t_grid is None:
-        t_grid = default_time_grid(f.spec)
-    if len(t_grid) == 0:
-        raise ValueError("t_grid must not be empty")
-    out = np.zeros(f.spec.shape)
-    for t, u in _poisson_stack(f, t_grid, time_derivative):
-        np.maximum(out, ball_maximum(u, f.spec, t), out=out)
-    return GridFunction(f.spec, out)
-
-
 def cone_derivative_check(f: GridFunction, t_grid=None) -> tuple[np.ndarray, np.ndarray]:
     """Cone sup of |du/dt| vs. the summed cone sups of its conjugate pieces.
 
@@ -314,11 +253,17 @@ def cone_derivative_check(f: GridFunction, t_grid=None) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
+def _check_slab_axis(spec: GridSpec, axis) -> None:
+    if spec.dim < 2:
+        raise ValueError("needs at least 2 frequency axes")
+    if not isinstance(axis, (int, np.integer)) or not 0 <= axis < spec.dim:
+        raise ValueError(f"axis {axis!r} out of range for dim {spec.dim}")
+
+
 def slab_sup(F: SpectralFunction, axis, t) -> GridFunction:
     """Per-slab sup of |F| over the frequencies with |xi_axis| >= t."""
     spec = F.spec
-    if spec.dim < 2:
-        raise ValueError("needs at least 2 frequency axes")
+    _check_slab_axis(spec, axis)
     if t < 0:
         raise ValueError("t must be nonnegative")
     nodes = spec.axis_nodes(axis)
@@ -385,9 +330,10 @@ def sup_integral_functional(f: Union[GridFunction, SpectralFunction], axis,
     bit for bit.
     """
     F = transform(f) if isinstance(f, GridFunction) else f
+    _check_slab_axis(F.spec, axis)
+    if levels < 2:
+        raise ValueError(f"levels must be at least 2, got {levels}")
     n = F.spec.dim
-    if n < 2:
-        raise ValueError("needs at least 2 frequency axes")
     t_hi = F.spec.half_extents[axis]
     t_lo = F.spec.spacing[axis] / 256.0
     ts = np.geomspace(t_lo, t_hi, levels)
@@ -552,39 +498,6 @@ def cube_shell_sum(F: SpectralFunction) -> float:
     return float(total)
 
 
-def cube_face_vs_annulus(F: SpectralFunction, k: int) -> tuple[float, float]:
-    """Face sups against the integral over the dyadic box annulus.
-
-    Returns (lhs, rhs): lhs sums over axes j the sup, over nodes with
-    2^(k-1) <= |xi_j| <= 2^k, of the |F| integral over the face
-    {|xi_m| <= 2^k, m != j}; rhs integrates |F| over the annulus between the
-    sup-norm boxes of half sides 2^(k-1) and 2^k.  Covering the annulus by
-    slabs bounds rhs by 2^k times lhs.
-    """
-    spec = F.spec
-    if spec.dim < 2:
-        raise ValueError("needs at least 2 frequency axes")
-    half, inner = 2.0 ** k, 2.0 ** (k - 1)
-    av = np.abs(F.values)
-    lhs = 0.0
-    for j in range(spec.dim):
-        nodes = np.abs(spec.axis_nodes(j))
-        mask = (nodes >= inner) & (nodes <= half)
-        if not mask.any():
-            continue
-        faces = _face_integrals(av, spec, j, half)
-        lhs += float(faces[mask].max())
-    mesh = spec.meshgrid()
-    in_outer = np.ones(spec.shape, dtype=bool)
-    in_inner = np.ones(spec.shape, dtype=bool)
-    for x in mesh:
-        in_outer &= np.abs(x) <= half
-        in_inner &= np.abs(x) <= inner
-    annulus = in_outer & ~in_inner
-    rhs = float(np.sum(av[annulus]) * spec.cell_volume)
-    return lhs, rhs
-
-
 class WeightedIntegral(NamedTuple):
     value: float
     near_origin: float
@@ -607,26 +520,3 @@ def weighted_fourier_integral(F: SpectralFunction, gamma: float) -> WeightedInte
     value = float(integrand.sum() * cell)
     near = mask & (r <= math.hypot(*spec.spacing) + 1e-12)
     return WeightedIntegral(value, float(integrand[near].sum() * cell))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def save_spectral(path, F: SpectralFunction):
-    header = json.dumps({"format_version": FORMAT_VERSION, "grid": F.spec.to_dict()},
-                        sort_keys=True)
-    buf = io.BytesIO()
-    np.savez(buf, header=np.frombuffer(header.encode(), dtype=np.uint8),
-             values=F.values)
-    _atomic_write(path, buf.getvalue())
-
-
-def load_spectral(path) -> SpectralFunction:
-    with np.load(path) as npz:
-        header = json.loads(npz["header"].tobytes().decode())
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {header.get('format_version')}")
-        spec = GridSpec.from_dict(header["grid"])
-        return SpectralFunction(spec, npz["values"])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -34,7 +33,6 @@ __all__ = [
     "sample",
     "derivative",
     "tail_fraction",
-    "finite_difference_derivative",
     "CorpusMember",
     "sample_member",
     "corpus_generate",
@@ -42,8 +40,6 @@ __all__ = [
     "scale_family",
     "save_corpus_spec",
     "load_corpus_spec",
-    "save_corpus_dump",
-    "load_corpus_dump",
     "FORMAT_VERSION",
 ]
 
@@ -419,6 +415,10 @@ def _support_radius(fam: FamilySpec, axis) -> float:
     return math.sqrt(rho_max * (rho_max + 2.0 * fam.moll_width))
 
 
+# Largest tail_fraction that sample() accepts.
+TAIL_TOL = 1e-8
+
+
 def tail_fraction(fam: FamilySpec, grid: GridSpec) -> float:
     """Estimated fraction of |f| mass outside the grid box.
 
@@ -445,11 +445,11 @@ def tail_fraction(fam: FamilySpec, grid: GridSpec) -> float:
     return 0.0
 
 
-def sample(fam: FamilySpec, grid: GridSpec, tail_tol=1e-8) -> GridFunction:
-    """Sample the family member on the grid; reject excessive tail mass."""
+def sample(fam: FamilySpec, grid: GridSpec) -> GridFunction:
+    """Sample the family member on the grid; reject tail mass above TAIL_TOL."""
     frac = tail_fraction(fam, grid)
-    if frac > tail_tol:
-        raise ValueError(f"tail mass fraction {frac:.3g} exceeds tolerance {tail_tol:.3g}")
+    if frac > TAIL_TOL:
+        raise ValueError(f"tail mass fraction {frac:.3g} exceeds tolerance {TAIL_TOL:.3g}")
     vals = np.broadcast_to(_VALUE[fam.family](fam, grid.meshgrid()), grid.shape)
     return GridFunction(grid, np.ascontiguousarray(vals, dtype=float))
 
@@ -460,14 +460,6 @@ def derivative(fam: FamilySpec, axis, grid: GridSpec) -> GridFunction:
         raise ValueError(f"axis {axis} out of range for dim {fam.dim}")
     vals = np.broadcast_to(_GRAD[fam.family](fam, grid.meshgrid(), axis), grid.shape)
     return GridFunction(grid, np.ascontiguousarray(vals, dtype=float))
-
-
-def finite_difference_derivative(f: GridFunction, axis) -> GridFunction:
-    """Second-order finite difference along axis (one-sided at the ends)."""
-    if not 0 <= axis < f.spec.dim:
-        raise ValueError(f"axis {axis} out of range")
-    vals = np.gradient(f.values, f.spec.spacing[axis], axis=axis, edge_order=2)
-    return GridFunction(f.spec, vals, f.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +513,14 @@ def _draw_family(rng: np.random.Generator, family: str, dim: int, L: float) -> F
     raise ValueError(f"unknown family {family!r}")
 
 
-def sample_member(fam: FamilySpec, grid: GridSpec, tail_tol=1e-8) -> CorpusMember:
+def sample_member(fam: FamilySpec, grid: GridSpec) -> CorpusMember:
     """Sample one family and its exact partial derivatives on a grid."""
-    f = sample(fam, grid, tail_tol)
+    f = sample(fam, grid)
     derivs = tuple(derivative(fam, k, grid) for k in range(grid.dim))
     return CorpusMember(fam, f, derivs)
 
 
-def corpus_generate(seed: int, count: int, grid: GridSpec, tail_tol=1e-8) -> list[CorpusMember]:
+def corpus_generate(seed: int, count: int, grid: GridSpec) -> list[CorpusMember]:
     """Seeded corpus of `count` members cycling through all families.
 
     Draws depend on (seed, count, dim, half extents) but not on the point
@@ -541,7 +533,7 @@ def corpus_generate(seed: int, count: int, grid: GridSpec, tail_tol=1e-8) -> lis
     members = []
     for i in range(count):
         fam = _draw_family(rng, FAMILY_IDS[i % len(FAMILY_IDS)], grid.dim, L)
-        members.append(sample_member(fam, grid, tail_tol))
+        members.append(sample_member(fam, grid))
     return members
 
 
@@ -582,39 +574,6 @@ def load_corpus_spec(path) -> tuple[GridSpec, int, int]:
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported corpus format version {doc.get('format_version')}")
     return GridSpec.from_dict(doc["grid"]), int(doc["seed"]), int(doc["count"])
-
-
-def save_corpus_dump(path, members: list[CorpusMember], seed: int) -> None:
-    """Binary dump: sampled values plus a JSON header with grid and families."""
-    if not members:
-        raise ValueError("empty corpus")
-    grid = members[0].grid
-    header = {"format_version": FORMAT_VERSION, "seed": int(seed),
-              "grid": grid.to_dict(),
-              "families": [m.family.to_dict() for m in members]}
-    arrays = {"header": np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8)}
-    for i, m in enumerate(members):
-        arrays[f"f{i}"] = m.f.values
-        for k, d in enumerate(m.derivs):
-            arrays[f"d{i}_{k}"] = d.values
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    _atomic_write(path, buf.getvalue())
-
-
-def load_corpus_dump(path) -> tuple[list[CorpusMember], int]:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported dump format version {header.get('format_version')}")
-        grid = GridSpec.from_dict(header["grid"])
-        members = []
-        for i, famd in enumerate(header["families"]):
-            fam = FamilySpec.from_dict(famd)
-            f = GridFunction(grid, data[f"f{i}"])
-            derivs = tuple(GridFunction(grid, data[f"d{i}_{k}"]) for k in range(grid.dim))
-            members.append(CorpusMember(fam, f, derivs))
-    return members, int(header["seed"])
 
 
 def _atomic_write(path, data) -> None:

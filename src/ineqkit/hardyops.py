@@ -31,9 +31,7 @@ __all__ = [
     "RaySamples",
     "ray_integral",
     "cumulative_integral",
-    "quasi_decreasing_constant",
     "hardy_check",
-    "quasi_decreasing_hardy_check",
     "doublestar_bound_check",
 ]
 
@@ -122,19 +120,6 @@ def cumulative_integral(ray: RaySamples) -> np.ndarray:
     return np.cumsum(segs)
 
 
-def quasi_decreasing_constant(ray: RaySamples) -> float:
-    """Smallest c with values(t1) <= c * values(t2) over sampled t2 < t1."""
-    vals = ray.values
-    prev_min = np.minimum.accumulate(vals)[:-1]
-    later = vals[1:]
-    mask = later > 0
-    if not mask.any():
-        return 1.0
-    if np.any(prev_min[mask] == 0):
-        return math.inf
-    return max(1.0, float(np.max(later[mask] / prev_min[mask])))
-
-
 def hardy_check(ray: RaySamples, lam: float, p: float) -> tuple[float, float]:
     """Averaging-operator bound with constant 1/(1-lam).
 
@@ -160,43 +145,6 @@ def hardy_check(ray: RaySamples, lam: float, p: float) -> tuple[float, float]:
     lhs = ray_integral(lhs_ray) ** (1.0 / p)
     rhs_int = ray_integral(rhs_ray)
     return float(lhs), float(rhs_int ** (1.0 / p) / (1.0 - lam))
-
-
-def quasi_decreasing_hardy_check(ray: RaySamples, alpha: float, beta: float,
-                                 p: float, cq_cap: float = 1e6) -> tuple[float, float, float]:
-    """Hardy-type bound for quasi-decreasing functions and 0 < p < 1.
-
-    Returns (lhs, rhs, ratio) with
-      lhs = int u^(-alpha-1) (int_0^u psi(t) t^beta dt)^p du
-      rhs = int u^(-alpha-1) (psi(u) u^(beta+1))^p du
-    The constant is not explicit, so only the ratio lhs/rhs is reported
-    (1.0 when both sides vanish).  Rejects psi whose quasi-decreasing
-    constant exceeds cq_cap.
-    """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not beta > -1:
-        raise ValueError(f"beta must exceed -1, got {beta}")
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    cq = quasi_decreasing_constant(ray)
-    if cq > cq_cap:
-        raise ValueError(f"input is not quasi-decreasing at cap {cq_cap} (c_q = {cq})")
-    weighted = ray.map(lambda t, v: v * t ** beta)
-    cum = cumulative_integral(weighted)
-    if not np.all(np.isfinite(cum)):
-        return math.inf, math.inf, 1.0
-    lhs_ray = RaySamples(ray.ts, ray.ts ** (-alpha - 1.0) * cum ** p,
-                         extrapolate_low=True, extrapolate_high=True)
-    rhs_ray = ray.map(lambda t, v: t ** (-alpha - 1.0) * (v * t ** (beta + 1.0)) ** p,
-                      extrapolate_low=True, extrapolate_high=True)
-    lhs = ray_integral(lhs_ray)
-    rhs = ray_integral(rhs_ray)
-    if rhs == 0:
-        ratio = 1.0 if lhs == 0 else math.inf
-    else:
-        ratio = lhs / rhs
-    return float(lhs), float(rhs), float(ratio)
 
 
 @lru_cache(maxsize=None)

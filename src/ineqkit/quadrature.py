@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "log_midpoint_nodes",
-    "geometric_levels",
     "powerlaw_exponent",
     "segment_integral",
 ]
@@ -38,13 +37,6 @@ def log_midpoint_nodes(lo, hi, ratio):
     mids = np.log(lo) + 0.5 * (edges[:-1] + edges[1:])
     keep = widths > 0
     return np.exp(mids[keep]), widths[keep]
-
-
-def geometric_levels(lo, hi, count):
-    """Plain geometric sequence of `count` levels from lo to hi inclusive."""
-    if not (lo > 0 and hi > lo and count >= 2):
-        raise ValueError("need 0 < lo < hi and count >= 2")
-    return np.geomspace(lo, hi, count)
 
 
 def powerlaw_exponent(t0, v0, t1, v1):

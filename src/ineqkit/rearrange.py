@@ -119,17 +119,6 @@ class DecreasingProfile:
             return 0.0
         return int(self._cum_counts[n_runs - 1]) * self.cell_volume
 
-    def to_dict(self) -> dict:
-        return {"values": self.values.tolist(), "counts": self.counts.tolist(),
-                "cell_volume": self.cell_volume}
-
-    @classmethod
-    def from_dict(cls, d) -> "DecreasingProfile":
-        return cls(np.asarray(d["values"], dtype=float),
-                   np.asarray(d["counts"], dtype=np.int64),
-                   float(d["cell_volume"]))
-
-
 def decreasing_rearrangement(f: GridFunction) -> DecreasingProfile:
     """Nonincreasing rearrangement of |f| as a merged-run step profile."""
     a = np.abs(f.values).ravel()

@@ -40,16 +40,15 @@ derivative and is skipped when none is supplied.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .gridfn import GridFunction, GridSpec
 from .norms import (Lebesgue, Lorentz, Mixed, NormSpec, _check_values_spec, _inner_reduce,
-                    _lebesgue_of_cells, _norm_of_abs, _outer_reduce, format_norm,
+                    _lebesgue_of_cells, _norm_of_abs, _outer_reduce,
                     norm_of_values, parse_norm)
 from .quadrature import log_midpoint_nodes
 from .rearrange import decreasing_rearrangement, double_star
@@ -65,8 +64,6 @@ __all__ = [
     "DEFAULT_RATIO",
 ]
 
-log = logging.getLogger(__name__)
-
 DEFAULT_RATIO = 2.0 ** 0.125
 
 
@@ -76,6 +73,8 @@ def _check_axis(f: GridFunction, axis) -> None:
 
 
 def _shift_multiple(f: GridFunction, axis, h) -> int:
+    if not math.isfinite(h):
+        raise ValueError(f"shift {h} must be finite")
     step = f.spec.spacing[axis]
     m = h / step
     m_int = int(round(m))
@@ -324,13 +323,14 @@ class BesovSpec:
             raise ValueError("axis must be nonnegative")
         if not 1 < self.ratio <= 2:
             raise ValueError(f"ratio must lie in (1, 2], got {self.ratio}")
+        for name in ("h_min", "h_max"):
+            h = getattr(self, name)
+            if h is not None and not 0 < h < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {h}")
+        if self.h_min is not None and self.h_max is not None and self.h_min >= self.h_max:
+            raise ValueError(f"h_min {self.h_min} must be below h_max {self.h_max}")
         if isinstance(self.base, str):
             object.__setattr__(self, "base", parse_norm(self.base))
-
-    def describe(self) -> str:
-        kind = "omega" if self.use_modulus else "delta"
-        return (f"Bes(alpha={self.alpha},theta={self.theta},axis={self.axis},"
-                f"{kind};{format_norm(self.base)})")
 
 
 def _snapped_nodes(h_min, h_max, ratio, step):
@@ -346,13 +346,14 @@ def _snapped_nodes(h_min, h_max, ratio, step):
 
 
 def besov_seminorm(f: GridFunction, spec: BesovSpec, deriv: Optional[GridFunction] = None,
-                   lower_tail=True, upper_tail=True) -> float:
+                   upper_tail=True) -> float:
     """Besov-type seminorm of f; see the module docstring for the completion.
 
     deriv, when given, must be the exact partial derivative along spec.axis
-    and enables the small-h analytic completion.  A window or completion whose
-    integral diverges yields math.inf with a logged diagnostic instead of an
-    exception.
+    and enables the small-h analytic completion.  upper_tail=False drops the
+    large-h completion.  Both completions converge, since BesovSpec keeps
+    alpha in (0, 1) and theta >= 1.  A window whose resolved h_min is not
+    below its h_max raises ValueError.
     """
     grid = f.spec
     if not spec.axis < grid.dim:
@@ -360,10 +361,9 @@ def besov_seminorm(f: GridFunction, spec: BesovSpec, deriv: Optional[GridFunctio
     step = grid.spacing[spec.axis]
     h_min = spec.h_min if spec.h_min is not None else step
     h_max = spec.h_max if spec.h_max is not None else 4.0 * max(grid.half_extents)
+    if h_min >= h_max:
+        raise ValueError(f"h-window [{h_min}, {h_max}] is empty")
     alpha, theta = spec.alpha, spec.theta
-    if alpha * theta <= 0 or (1.0 - alpha) * theta <= 0:
-        log.warning("divergent completion for %s; reporting inf", spec.describe())
-        return math.inf
 
     ms, weights = _snapped_nodes(h_min, h_max, spec.ratio, step)
     if spec.use_modulus and ms.size:
@@ -376,7 +376,7 @@ def besov_seminorm(f: GridFunction, spec: BesovSpec, deriv: Optional[GridFunctio
     if upper_tail:
         fnorm = norm_of_values(f.values, grid, spec.base)
         total += (2.0 * fnorm) ** theta * h_max ** (-alpha * theta) / (alpha * theta)
-    if lower_tail and deriv is not None:
+    if deriv is not None:
         dnorm = norm_of_values(deriv.values, grid, spec.base)
         total += dnorm ** theta * h_min ** ((1.0 - alpha) * theta) / ((1.0 - alpha) * theta)
     return float(total ** (1.0 / theta))

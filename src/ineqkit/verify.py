@@ -135,12 +135,12 @@ def _eval_bound(member, params):
     return doublestar_bound_check(member.f, params["p"])
 
 
-def _delta_sweep(member, fraction_lo=4.0, count=8):
+def _delta_sweep(member):
     grid = member.grid
     step = grid.spacing[0]
     prof = decreasing_rearrangement(member.f)
     hi = 2.0 * prof.support_measure if prof.values.size else 2.0 * grid.half_extents[0]
-    return np.geomspace(fraction_lo * step, hi, count)
+    return np.geomspace(4.0 * step, hi, 8)
 
 
 def _eval_ulyanov_pointwise(member, params):
@@ -169,14 +169,11 @@ def _eval_omega1(member, params):
     return _worst_pair(pairs)
 
 
-def _besov_axis_sum(member, alpha, theta, base_for_axis, use_modulus=False,
-                    h_max=None, upper_tail=True):
+def _besov_axis_sum(member, alpha, theta, base_for_axis):
     total = 0.0
     for k in range(member.dim):
-        spec = BesovSpec(alpha, theta, k, base_for_axis(k), h_max=h_max,
-                         use_modulus=use_modulus)
-        total += besov_seminorm(member.f, spec, deriv=member.derivs[k],
-                                upper_tail=upper_tail)
+        spec = BesovSpec(alpha, theta, k, base_for_axis(k))
+        total += besov_seminorm(member.f, spec, deriv=member.derivs[k])
     return total
 
 
@@ -453,10 +450,6 @@ def _valid_dim2plus(dim, params):
 
 def _valid_dim3plus(dim, params):
     return dim >= 3
-
-
-def _valid_dim1(dim, params):
-    return dim == 1
 
 
 def _valid_probe_embed32(dim, params):
@@ -890,20 +883,19 @@ def _report(spec: InequalitySpec, dim: int, rows: list, runtime: float) -> Inequ
         dilation=dilation, runtime=runtime)
 
 
-def run_all(ids=None, corpora=None, jobs: int = 1, seed: int = DEFAULT_SEED,
-            include_probes: bool = True):
+def run_all(ids=None, corpora=None, jobs: int = 1):
     """Run registry entries over per-dimension corpora.
 
-    corpora maps dim -> (families, coarse GridSpec); defaults are generated
-    from the seed.  Each dimension is one run() call: one member-major pass
-    and at most one process pool.  Probe entries are included as evidence
+    corpora maps dim -> (families, coarse GridSpec); the default corpora are
+    drawn from DEFAULT_SEED.  Each dimension is one run() call: one
+    member-major pass and at most one process pool.  Probe entries are included as evidence
     rows (they cannot fail); their escalation sweeps live in probe().
     Returns (reports, metadata); reports are sorted by (id, dim) and
     deterministic.  Only the timestamp lives in metadata: anything else
     would break the byte-identity of repeated runs.
     """
     if corpora is None:
-        corpora = {d: (default_families(d, seed), default_grid(d))
+        corpora = {d: (default_families(d), default_grid(d))
                    for d in (1, 2, 3)}
     specs = registry()
     if ids is not None:
@@ -911,8 +903,6 @@ def run_all(ids=None, corpora=None, jobs: int = 1, seed: int = DEFAULT_SEED,
         if unknown:
             raise ValueError(f"unknown registry ids: {sorted(unknown)}")
         specs = [e for e in specs if e.id in set(ids)]
-    if not include_probes:
-        specs = [e for e in specs if e.kind != "probe"]
     reports = []
     for dim in sorted(corpora):
         chosen = sorted((e for e in specs if dim in e.dims), key=lambda e: e.id)
@@ -958,7 +948,7 @@ def escalate_family(fam: FamilySpec, level: int) -> FamilySpec:
 
 
 def probe(question: str, depth: int = 2, families=None, grid=None,
-          jobs: int = 1, seed: int = DEFAULT_SEED) -> dict:
+          jobs: int = 1) -> dict:
     """Evidence sweep for an open question; never asserts a direction.
 
     Evaluates the question's functional pair on the base corpus (level 0) and
@@ -971,7 +961,7 @@ def probe(question: str, depth: int = 2, families=None, grid=None,
         raise ValueError(f"unknown probe {question!r}; available: {known}")
     dim = spec.dims[0]
     if families is None:
-        families = default_families(dim, seed)
+        families = default_families(dim)
     if grid is None:
         grid = default_grid(dim)
     started = time.perf_counter()

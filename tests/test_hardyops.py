@@ -12,8 +12,7 @@ from scipy.integrate import quad
 
 from ineqkit.hardyops import (RaySamples, cumulative_integral,
                               doublestar_bound_check, hardy_check,
-                              quasi_decreasing_constant,
-                              quasi_decreasing_hardy_check, ray_integral)
+                              ray_integral)
 
 from conftest import two_level_function
 
@@ -71,17 +70,6 @@ def test_cumulative_integral_monotone():
     assert cum[-1] == pytest.approx(ray_integral(ray), rel=1e-12)
 
 
-def test_quasi_decreasing_constant_cases():
-    ts = np.array([1.0, 2.0, 3.0])
-    assert quasi_decreasing_constant(RaySamples(ts, np.array([3.0, 2.0, 1.0]))) == 1.0
-    assert quasi_decreasing_constant(
-        RaySamples(ts, np.array([1.0, 0.5, 0.75]))) == pytest.approx(1.5)
-    assert quasi_decreasing_constant(
-        RaySamples(ts, np.array([0.0, 0.0, 1.0]))) == math.inf
-    assert quasi_decreasing_constant(
-        RaySamples(ts, np.array([1.0, 0.0, 0.0]))) == 1.0
-
-
 def test_hardy_equality_case():
     # phi(t) = t on (0, 1]: with lam = 0, p = 1 both sides equal 1
     ray = padded_ray(lambda t: t, support=1.0)
@@ -114,31 +102,6 @@ def test_hardy_divergent_cumulative_reports_inf():
     ts = np.geomspace(0.01, 1.0, 64)
     ray = RaySamples(ts, ts ** -2.0, extrapolate_low=True)
     assert hardy_check(ray, 0.0, 1.0) == (math.inf, math.inf)
-
-
-def test_quasi_decreasing_hardy_oracle():
-    # psi(t) = t^(-1/4) on (0, 1], alpha = 1/4, beta = 0, p = 1/2:
-    #   Psi(u) = (4/3) u^(3/4) capped at 4/3
-    #   lhs = sqrt(4/3) * (8 + 4), rhs = 8, ratio = sqrt(3)
-    ray = padded_ray(lambda t: t ** -0.25, support=1.0, t_max=3000.0, nodes=2500)
-    lhs, rhs, ratio = quasi_decreasing_hardy_check(ray, 0.25, 0.0, 0.5)
-    assert lhs == pytest.approx(12.0 * math.sqrt(4.0 / 3.0), rel=2e-2)
-    assert rhs == pytest.approx(8.0, rel=2e-2)
-    assert ratio == pytest.approx(math.sqrt(3.0), rel=2e-2)
-
-
-def test_quasi_decreasing_hardy_validation():
-    ts = np.array([1.0, 2.0])
-    ray = RaySamples(ts, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        quasi_decreasing_hardy_check(ray, -1.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        quasi_decreasing_hardy_check(ray, 1.0, -2.0, 0.5)
-    with pytest.raises(ValueError):
-        quasi_decreasing_hardy_check(ray, 1.0, 0.0, 1.5)
-    rising = RaySamples(np.array([1.0, 2.0]), np.array([1e-9, 1.0]))
-    with pytest.raises(ValueError):
-        quasi_decreasing_hardy_check(rising, 1.0, 0.0, 0.5, cq_cap=1e6)
 
 
 def test_doublestar_indicator_exact(unit_indicator):

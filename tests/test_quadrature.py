@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ineqkit.quadrature import (geometric_levels, log_midpoint_nodes,
-                                powerlaw_exponent, segment_integral)
+from ineqkit.quadrature import (log_midpoint_nodes, powerlaw_exponent,
+                                segment_integral)
 
 
 def power_integral(t0, t1, expo):
@@ -45,14 +45,6 @@ def test_log_midpoint_degenerate_and_invalid_windows():
         log_midpoint_nodes(-1.0, 2.0, 1.5)
     with pytest.raises(ValueError):
         log_midpoint_nodes(1.0, 2.0, 1.0)
-
-
-def test_geometric_levels_endpoints():
-    levels = geometric_levels(0.5, 8.0, 5)
-    assert levels[0] == pytest.approx(0.5)
-    assert levels[-1] == pytest.approx(8.0)
-    with pytest.raises(ValueError):
-        geometric_levels(1.0, 1.0, 4)
 
 
 def test_powerlaw_exponent_basic():

@@ -87,13 +87,6 @@ def test_double_star_dominates_and_decreases(corpus1):
         assert double_star(prof, t) == pytest.approx(prof.total_mass / t, rel=1e-12)
 
 
-def test_profile_dict_roundtrip(corpus1):
-    prof = decreasing_rearrangement(corpus1[0].f)
-    back = DecreasingProfile.from_dict(prof.to_dict())
-    assert np.array_equal(back.values, prof.values)
-    assert np.array_equal(back.counts, prof.counts)
-
-
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
        y=st.floats(min_value=0.0, max_value=2.0))
 @settings(max_examples=40, deadline=None)

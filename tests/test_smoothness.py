@@ -41,6 +41,9 @@ def test_difference_rejects_off_grid_shift(corpus1):
     step = f.spec.spacing[0]
     with pytest.raises(ValueError):
         difference(f, 0, 0.4 * step)
+    for h in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            difference(f, 0, h)
 
 
 def test_difference_beyond_box_is_negation(corpus1):
@@ -273,8 +276,29 @@ def test_besov_spec_validation():
         BesovSpec(0.5, 0.5, 0, Lebesgue(2.0))
     with pytest.raises(ValueError):
         BesovSpec(0.5, 2.0, 0, Lebesgue(2.0), ratio=2.5)
+    for h in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="h_min must be finite and positive"):
+            BesovSpec(0.5, 2.0, 0, Lebesgue(2.0), h_min=h)
+        with pytest.raises(ValueError, match="h_max must be finite and positive"):
+            BesovSpec(0.5, 2.0, 0, Lebesgue(2.0), h_max=h)
+    for h_min, h_max in ((2.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="must be below h_max"):
+            BesovSpec(0.5, 2.0, 0, Lebesgue(2.0), h_min=h_min, h_max=h_max)
     spec = BesovSpec(0.5, 2.0, 0, "Lor(2,1)")
     assert spec.base.p == 2.0
+
+
+def test_besov_seminorm_rejects_empty_resolved_window(corpus1):
+    member = corpus1[0]
+    step = member.grid.spacing[0]
+    # the default h_min is the spacing and the default h_max 4 * L = 32
+    for spec in (BesovSpec(0.5, 2.0, 0, Lebesgue(2.0), h_max=step / 2),
+                 BesovSpec(0.5, 2.0, 0, Lebesgue(2.0), h_max=step),
+                 BesovSpec(0.5, 2.0, 0, Lebesgue(2.0), h_min=64.0)):
+        with pytest.raises(ValueError, match="is empty"):
+            besov_seminorm(member.f, spec, deriv=member.derivs[0])
+    window = BesovSpec(0.5, 2.0, 0, Lebesgue(2.0), h_max=0.5)
+    assert np.isfinite(besov_seminorm(member.f, window, deriv=member.derivs[0]))
 
 
 def test_besov_zero_function():
@@ -315,8 +339,7 @@ def test_besov_completion_terms_are_additive(corpus1):
     spec = BesovSpec(0.5, 2.0, 0, Lebesgue(2.0))
     full = besov_seminorm(member.f, spec, deriv=member.derivs[0])
     no_lower = besov_seminorm(member.f, spec)
-    no_tails = besov_seminorm(member.f, spec, lower_tail=False,
-                              upper_tail=False)
+    no_tails = besov_seminorm(member.f, spec, upper_tail=False)
     assert full >= no_lower >= no_tails >= 0.0
 
 
@@ -325,8 +348,8 @@ def test_besov_modulus_variant_dominates(corpus1):
     for member in corpus1[:4]:
         plain = BesovSpec(0.5, 2.0, 0, Lebesgue(2.0))
         strong = BesovSpec(0.5, 2.0, 0, Lebesgue(2.0), use_modulus=True)
-        a = besov_seminorm(member.f, plain, lower_tail=False)
-        b = besov_seminorm(member.f, strong, lower_tail=False)
+        a = besov_seminorm(member.f, plain)
+        b = besov_seminorm(member.f, strong)
         assert b >= a * (1.0 - 1e-12)
 
 
