@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy.ndimage import map_coordinates, maximum_filter1d
 
-from .gridfn import GridFunction, GridSpec
+from .gridfn import GridFunction, GridSpec, _check_axis
 from .norms import lp_norm
 from .quadrature import segment_integral
 from .rearrange import decreasing_rearrangement, double_star
@@ -141,8 +141,7 @@ def _riesz_multiplier(spec: GridSpec, j) -> np.ndarray:
 
 def riesz(f: GridFunction, j) -> GridFunction:
     """Riesz transform along axis j (the Hilbert transform when dim is 1)."""
-    if not 0 <= j < f.spec.dim:
-        raise ValueError(f"axis {j} out of range")
+    _check_axis(j, f.spec.dim)
     F = transform(f)
     _warn_if_not_mean_zero(F, "riesz")
     out = apply_multiplier(F, _riesz_multiplier(F.spec, j))
@@ -256,8 +255,7 @@ def cone_derivative_check(f: GridFunction, t_grid=None) -> tuple[np.ndarray, np.
 def _check_slab_axis(spec: GridSpec, axis) -> None:
     if spec.dim < 2:
         raise ValueError("needs at least 2 frequency axes")
-    if not isinstance(axis, (int, np.integer)) or not 0 <= axis < spec.dim:
-        raise ValueError(f"axis {axis!r} out of range for dim {spec.dim}")
+    _check_axis(axis, spec.dim)
 
 
 def slab_sup(F: SpectralFunction, axis, t) -> GridFunction:

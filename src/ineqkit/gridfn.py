@@ -5,6 +5,8 @@ on a uniform grid with an even number of points per axis (even sizes keep the
 discrete Fourier transform aligned with the half-open node layout).  The test
 families are smooth, rapidly decaying or compactly supported, and carry closed
 form partial derivatives, so discretization error is the only error source.
+Each family defines one field function, which builds the family's factors
+once and forms from them the value and the requested partials.
 
 A corpus is a seeded, reproducible list of family members sampled on a grid
 together with their exact partial derivatives.  Generation draws parameters
@@ -46,6 +48,12 @@ __all__ = [
 FORMAT_VERSION = 1
 
 _DIMS = (1, 2, 3)
+
+
+def _check_axis(axis, dim: int) -> None:
+    """Reject an axis that is not an integer in [0, dim); numpy integers pass."""
+    if not isinstance(axis, (int, np.integer)) or not 0 <= axis < dim:
+        raise ValueError(f"axis {axis!r} out of range for dim {dim}")
 
 
 @dataclass(frozen=True)
@@ -210,17 +218,6 @@ class FamilySpec:
         if self.family in ("mollified_cone", "mollified_indicator") and self.moll_width <= 0:
             raise ValueError("mollified families need moll_width > 0")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d) -> "FamilySpec":
-        d = dict(d)
-        for key in ("center", "width", "freq"):
-            if key in d:
-                d[key] = tuple(float(x) for x in d[key])
-        return cls(**d)
-
 
 def _bump(u):
     """C-infinity bump: exp(1 - 1/(1-u^2)) for |u| < 1, else 0; peak value 1."""
@@ -280,125 +277,90 @@ def _smoothstep_dv(v):
     return out
 
 
-def _gaussian_value(fam: FamilySpec, coords):
+def _product(first, factors):
+    """((first * f_0) * f_1) * ...; the order fixes the rounding of every sample."""
+    out = first
+    for factor in factors:
+        out = out * factor
+    return out
+
+
+def _swap(factors, k, *new):
+    """The factors with the k-th replaced by new: a partial along axis k."""
+    return [*factors[:k], *new, *factors[k + 1:]]
+
+
+def _bump_factors(fam: FamilySpec, coords):
+    """Per-axis bumps b_i((x_i - c_i) / w_i) and their x_i-derivatives."""
+    us = [(x - c) / w for x, c, w in zip(coords, fam.center, fam.width)]
+    return [_bump(u) for u in us], [_bump_du(u) / w for u, w in zip(us, fam.width)]
+
+
+def _gaussian_field(fam: FamilySpec, coords, axes):
     expo = 0.0
     for x, c, w in zip(coords, fam.center, fam.width):
         expo = expo + ((x - c) / w) ** 2
-    return fam.amplitude * np.exp(-np.pi * expo)
+    value = fam.amplitude * np.exp(-np.pi * expo)
+    return value, (value * (-2.0 * np.pi * (coords[k] - fam.center[k])
+                            / (fam.width[k] * fam.width[k])) for k in axes)
 
 
-def _gaussian_grad(fam: FamilySpec, coords, axis):
-    base = _gaussian_value(fam, coords)
-    x = coords[axis]
-    c, w = fam.center[axis], fam.width[axis]
-    return base * (-2.0 * np.pi * (x - c) / (w * w))
+def _tensor_bump_field(fam: FamilySpec, coords, axes):
+    bumps, dbumps = _bump_factors(fam, coords)
+    return (_product(fam.amplitude, bumps),
+            (_product(fam.amplitude, _swap(bumps, k, dbumps[k])) for k in axes))
 
 
-def _tensor_bump_value(fam: FamilySpec, coords):
-    out = np.full(np.broadcast_shapes(*(np.shape(x) for x in coords)), fam.amplitude)
-    for x, c, w in zip(coords, fam.center, fam.width):
-        out = out * _bump((x - c) / w)
-    return out
-
-
-def _tensor_bump_grad(fam: FamilySpec, coords, axis):
-    out = np.full(np.broadcast_shapes(*(np.shape(x) for x in coords)), fam.amplitude)
-    for i, (x, c, w) in enumerate(zip(coords, fam.center, fam.width)):
-        u = (x - c) / w
-        out = out * (_bump_du(u) / w if i == axis else _bump(u))
-    return out
-
-
-def _trig_window(fam: FamilySpec, coords):
-    win = 1.0
-    for x, c, w in zip(coords, fam.center, fam.width):
-        win = win * _bump((x - c) / w)
-    return win
-
-
-def _windowed_trig_value(fam: FamilySpec, coords):
+def _windowed_trig_field(fam: FamilySpec, coords, axes):
     arg = fam.phase
     for x, nu in zip(coords, fam.freq):
         arg = arg + 2.0 * np.pi * nu * x
-    return fam.amplitude * np.sin(arg) * _trig_window(fam, coords)
+    bumps, dbumps = _bump_factors(fam, coords)
+    win = _product(1.0, bumps)
+    sin, cos = np.sin(arg), np.cos(arg)
+    return (fam.amplitude * sin * win,
+            (fam.amplitude * (2.0 * np.pi * fam.freq[k] * cos * win
+                              + sin * _product(1.0, _swap(bumps, k, dbumps[k])))
+             for k in axes))
 
 
-def _windowed_trig_grad(fam: FamilySpec, coords, axis):
-    arg = fam.phase
-    for x, nu in zip(coords, fam.freq):
-        arg = arg + 2.0 * np.pi * nu * x
-    win = _trig_window(fam, coords)
-    dwin = np.full(np.broadcast_shapes(*(np.shape(x) for x in coords)), 1.0)
-    for i, (x, c, w) in enumerate(zip(coords, fam.center, fam.width)):
-        u = (x - c) / w
-        dwin = dwin * (_bump_du(u) / w if i == axis else _bump(u))
-    return fam.amplitude * (2.0 * np.pi * fam.freq[axis] * np.cos(arg) * win
-                            + np.sin(arg) * dwin)
-
-
-def _indicator_value(fam: FamilySpec, coords):
+def _indicator_field(fam: FamilySpec, coords, axes):
     m = fam.moll_width
-    out = np.full(np.broadcast_shapes(*(np.shape(x) for x in coords)), fam.amplitude)
-    for x, c, R in zip(coords, fam.center, fam.width):
-        out = out * _smoothstep((R + m - np.abs(x - c)) / m)
-    return out
+    vs = [(R + m - np.abs(x - c)) / m for x, c, R in zip(coords, fam.center, fam.width)]
+    steps = [_smoothstep(v) for v in vs]
+    # the chain-rule factor -sign(x - c) / m is a separate multiplication:
+    # folding it into smoothstep'(v) first would round differently
+    return (_product(fam.amplitude, steps),
+            (_product(fam.amplitude, _swap(steps, k, _smoothstep_dv(vs[k]),
+                                           -np.sign(coords[k] - fam.center[k]) / m))
+             for k in axes))
 
 
-def _indicator_grad(fam: FamilySpec, coords, axis):
-    m = fam.moll_width
-    out = np.full(np.broadcast_shapes(*(np.shape(x) for x in coords)), fam.amplitude)
-    for i, (x, c, R) in enumerate(zip(coords, fam.center, fam.width)):
-        v = (R + m - np.abs(x - c)) / m
-        if i == axis:
-            out = out * _smoothstep_dv(v) * (-np.sign(x - c) / m)
-        else:
-            out = out * _smoothstep(v)
-    return out
-
-
-def _cone_rho(fam: FamilySpec, coords):
-    eps = fam.moll_width
-    r2 = 0.0
-    for x, c in zip(coords, fam.center):
-        r2 = r2 + (x - c) ** 2
-    return np.sqrt(r2 + eps * eps) - eps
-
-
-def _mollified_cone_value(fam: FamilySpec, coords):
-    R, m = fam.radius, fam.moll_width
-    rho = _cone_rho(fam, coords)
-    return fam.amplitude * (1.0 - rho / R) * _smoothstep((R - rho) / m)
-
-
-def _mollified_cone_grad(fam: FamilySpec, coords, axis):
+def _mollified_cone_field(fam: FamilySpec, coords, axes):
     R, m, eps = fam.radius, fam.moll_width, fam.moll_width
     r2 = 0.0
     for x, c in zip(coords, fam.center):
         r2 = r2 + (x - c) ** 2
     root = np.sqrt(r2 + eps * eps)
     rho = root - eps
-    drho = (coords[axis] - fam.center[axis]) / root
+    q = 1.0 - rho / R
     v = (R - rho) / m
-    dq = -_smoothstep(v) / R - (1.0 - rho / R) * _smoothstep_dv(v) / m
-    return fam.amplitude * dq * drho
+    step = _smoothstep(v)
+    # d/dx_k of amplitude * q * step(v) is this radial factor times drho/dx_k
+    radial = fam.amplitude * (-step / R - q * _smoothstep_dv(v) / m)
+    return (fam.amplitude * q * step,
+            (radial * ((coords[k] - fam.center[k]) / root) for k in axes))
 
 
-_VALUE: dict[str, Callable] = {
-    "gaussian": _gaussian_value,
-    "anisotropic_gaussian": _gaussian_value,
-    "tensor_bump": _tensor_bump_value,
-    "windowed_trig": _windowed_trig_value,
-    "mollified_cone": _mollified_cone_value,
-    "mollified_indicator": _indicator_value,
-}
-
-_GRAD: dict[str, Callable] = {
-    "gaussian": _gaussian_grad,
-    "anisotropic_gaussian": _gaussian_grad,
-    "tensor_bump": _tensor_bump_grad,
-    "windowed_trig": _windowed_trig_grad,
-    "mollified_cone": _mollified_cone_grad,
-    "mollified_indicator": _indicator_grad,
+# family -> (fam, coords, axes) -> (value, iterator over the partials along axes).
+# The partials are built lazily, so a caller can wrap each before the next exists.
+_FIELDS: dict[str, Callable] = {
+    "gaussian": _gaussian_field,
+    "anisotropic_gaussian": _gaussian_field,
+    "tensor_bump": _tensor_bump_field,
+    "windowed_trig": _windowed_trig_field,
+    "mollified_cone": _mollified_cone_field,
+    "mollified_indicator": _indicator_field,
 }
 
 
@@ -445,21 +407,36 @@ def tail_fraction(fam: FamilySpec, grid: GridSpec) -> float:
     return 0.0
 
 
-def sample(fam: FamilySpec, grid: GridSpec) -> GridFunction:
-    """Sample the family member on the grid; reject tail mass above TAIL_TOL."""
+def _grid_function(grid: GridSpec, vals) -> GridFunction:
+    vals = np.broadcast_to(vals, grid.shape)
+    return GridFunction(grid, np.ascontiguousarray(vals, dtype=float))
+
+
+def _sample_fields(fam: FamilySpec, grid: GridSpec, axes):
+    """f and its partials along axes on the grid; reject tail mass above TAIL_TOL.
+
+    Each array is wrapped as soon as it is built and its raw copy dropped, so
+    at most one raw partial is alive at a time.
+    """
     frac = tail_fraction(fam, grid)
     if frac > TAIL_TOL:
         raise ValueError(f"tail mass fraction {frac:.3g} exceeds tolerance {TAIL_TOL:.3g}")
-    vals = np.broadcast_to(_VALUE[fam.family](fam, grid.meshgrid()), grid.shape)
-    return GridFunction(grid, np.ascontiguousarray(vals, dtype=float))
+    value, partials = _FIELDS[fam.family](fam, grid.meshgrid(), axes)
+    f = _grid_function(grid, value)
+    del value
+    return f, tuple(_grid_function(grid, p) for p in partials)
+
+
+def sample(fam: FamilySpec, grid: GridSpec) -> GridFunction:
+    """Sample the family member on the grid; reject tail mass above TAIL_TOL."""
+    return _sample_fields(fam, grid, ())[0]
 
 
 def derivative(fam: FamilySpec, axis, grid: GridSpec) -> GridFunction:
     """Closed-form partial derivative along axis, sampled on the grid."""
-    if not 0 <= axis < fam.dim:
-        raise ValueError(f"axis {axis} out of range for dim {fam.dim}")
-    vals = np.broadcast_to(_GRAD[fam.family](fam, grid.meshgrid(), axis), grid.shape)
-    return GridFunction(grid, np.ascontiguousarray(vals, dtype=float))
+    _check_axis(axis, fam.dim)
+    _, (partial,) = _FIELDS[fam.family](fam, grid.meshgrid(), (axis,))
+    return _grid_function(grid, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +492,7 @@ def _draw_family(rng: np.random.Generator, family: str, dim: int, L: float) -> F
 
 def sample_member(fam: FamilySpec, grid: GridSpec) -> CorpusMember:
     """Sample one family and its exact partial derivatives on a grid."""
-    f = sample(fam, grid)
-    derivs = tuple(derivative(fam, k, grid) for k in range(grid.dim))
-    return CorpusMember(fam, f, derivs)
+    return CorpusMember(fam, *_sample_fields(fam, grid, range(grid.dim)))
 
 
 def corpus_generate(seed: int, count: int, grid: GridSpec) -> list[CorpusMember]:

@@ -252,8 +252,8 @@ def mixed_norm(f: GridFunction, spec: Mixed) -> float:
     return norm_of_values(f.values, f.spec, spec)
 
 
-def iterated_lorentz_norm(f: GridFunction, p: float, r: float, axis=0) -> float:
-    """Lorentz-type norm of the order-2 iterated rearrangement (2-d only).
+def iterated_lorentz_norm(f: GridFunction, p: float, r: float) -> float:
+    """Lorentz-type norm of the order-2 iterated rearrangement along axis 0 (2-d only).
 
     Integrates (s t)^(r/p - 1) times the table to the r-th power, with the
     one-dimensional cell integrals in closed form along each factor.
@@ -261,7 +261,7 @@ def iterated_lorentz_norm(f: GridFunction, p: float, r: float, axis=0) -> float:
     IteratedLorentz(p, r)  # validate
     if f.spec.dim != 2:
         raise ValueError("iterated Lorentz norms are defined for dim == 2")
-    prof = iterated_rearrangement(f, axis)
+    prof = iterated_rearrangement(f)
     table = prof.table
     wr = _lorentz_weights(table.shape[0], prof.row_step, p, r)
     wc = _lorentz_weights(table.shape[1], prof.col_step, p, r)

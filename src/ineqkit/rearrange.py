@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfn import GridFunction
+from .gridfn import GridFunction, _check_axis
 
 __all__ = [
     "DecreasingProfile",
@@ -194,8 +194,7 @@ def iterated_rearrangement(f: GridFunction, axis=0) -> IteratedProfile:
     spec = f.spec
     if spec.dim < 2:
         raise ValueError("iterated rearrangement needs dim >= 2")
-    if not 0 <= axis < spec.dim:
-        raise ValueError(f"axis {axis} out of range")
+    _check_axis(axis, spec.dim)
     a = np.abs(np.moveaxis(f.values, axis, 0))
     a = a.reshape(a.shape[0], -1)
     a = np.sort(a, axis=0)[::-1]   # per complement slice, along the distinguished axis

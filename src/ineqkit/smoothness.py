@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gridfn import GridFunction, GridSpec
+from .gridfn import GridFunction, GridSpec, _check_axis
 from .norms import (Lebesgue, Lorentz, Mixed, NormSpec, _check_values_spec, _inner_reduce,
                     _lebesgue_of_cells, _norm_of_abs, _outer_reduce,
                     norm_of_values, parse_norm)
@@ -65,11 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_RATIO = 2.0 ** 0.125
-
-
-def _check_axis(f: GridFunction, axis) -> None:
-    if not 0 <= axis < f.spec.dim:
-        raise ValueError(f"axis {axis} out of range for dim {f.spec.dim}")
 
 
 def _shift_multiple(f: GridFunction, axis, h) -> int:
@@ -129,7 +124,7 @@ def _difference_values(values: np.ndarray, axis, m: int, out=None) -> np.ndarray
 
 def difference(f: GridFunction, axis, h) -> GridFunction:
     """f(. + h e_axis) - f; h must be a (signed) multiple of the axis spacing."""
-    _check_axis(f, axis)
+    _check_axis(axis, f.spec.dim)
     m = _shift_multiple(f, axis, h)
     return GridFunction(f.spec, _difference_values(f.values, axis, m), f.kind)
 
@@ -213,7 +208,7 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     """
     if isinstance(base, str):
         base = parse_norm(base)
-    _check_axis(f, axis)
+    _check_axis(axis, f.spec.dim)
     ms = _integer_multiples(multiples)
     grid, vals = f.spec, f.values
     _check_values_spec(grid, base)
@@ -290,7 +285,7 @@ def modulus(f: GridFunction, axis, t, base: NormSpec) -> float:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    _check_axis(f, axis)
+    _check_axis(axis, f.spec.dim)
     return float(_moduli_at(f, axis, [t], base)[0])
 
 
@@ -422,16 +417,16 @@ def ulyanov_pointwise(f: GridFunction, p: float, t):
     return _scalar_or_array(t, lhs), _scalar_or_array(t, rhs)
 
 
-def ulyanov_tail(f: GridFunction, p: float, t, ratio=DEFAULT_RATIO):
+def ulyanov_tail(f: GridFunction, p: float, t):
     """Rearrangement value vs. the tail integral of the modulus.
 
     Returns (lhs, rhs): lhs is the rearrangement at measure t, rhs is twice
     the integral over s in (t, oo) of s^(-1/p) times the modulus at s, against
-    ds/s.  The range beyond 4 L uses the bound modulus <= 2 ||f||_p, which
-    completes the integral in closed form (an upper estimate of rhs).  t may
-    be a 1-d array: the moduli of all its quadrature nodes then come from one
-    table, and each side is an array whose entries equal the scalar calls
-    bit for bit.
+    ds/s, on log-spaced nodes with ratio DEFAULT_RATIO.  The range beyond
+    4 L uses the bound modulus <= 2 ||f||_p, which completes the integral in
+    closed form (an upper estimate of rhs).  t may be a 1-d array: the moduli
+    of all its quadrature nodes then come from one table, and each side is an
+    array whose entries equal the scalar calls bit for bit.
     """
     if f.spec.dim != 1:
         raise ValueError("defined for 1-d functions")
@@ -443,7 +438,7 @@ def ulyanov_tail(f: GridFunction, p: float, t, ratio=DEFAULT_RATIO):
     prof = decreasing_rearrangement(f)
     lhs = [prof.value_at(s) for s in ts]
 
-    nodes = [_snapped_nodes(s, s_max, ratio, step) if s < s_max
+    nodes = [_snapped_nodes(s, s_max, DEFAULT_RATIO, step) if s < s_max
              else (np.empty(0, dtype=np.int64), np.empty(0)) for s in ts]
     all_ms = np.concatenate([ms for ms, _ in nodes])
     omegas = np.split(_moduli(f, 0, base, all_ms)[0] if all_ms.size else all_ms,

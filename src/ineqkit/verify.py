@@ -14,13 +14,15 @@ a validity window over the exponent parameters and a kind:
 Every member is evaluated at a coarse grid and its 2x refinement; the
 empirical constant is the maximum fine-grid ratio.  The runner is
 member-major: each member is sampled once per grid and every entry is
-evaluated on that sample.  Evaluators are top-level functions looked up by
-entry id, so corpus members can be rebuilt and evaluated in worker processes
-from (family, grid) descriptions alone.
+evaluated on that sample.  Entries, families and grids are frozen dataclasses
+and evaluators are top-level functions, so a task carries the specs
+themselves to a worker process, which samples the member from its (family,
+grid) pair.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -90,7 +92,7 @@ def empirical_ratio(lhs: float, rhs: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# evaluators (top-level so runs can cross process boundaries by entry id)
+# evaluators (top-level, so the pool can pickle the entries that name them)
 # ---------------------------------------------------------------------------
 
 
@@ -745,12 +747,9 @@ def _evaluate_member(task):
     that sample, so an entry reuses what an earlier one cached on it (the
     Fourier transforms of f and its derivatives).  The coarse sample is
     dropped before the fine one is drawn.  Returns one (row, seconds) pair
-    per entry, in the order of the ids.
+    per entry, in the order of the specs.
     """
-    entry_ids, dim, index, fam_dict, grid_dict = task
-    specs = [registry_map()[i] for i in entry_ids]
-    fam = FamilySpec.from_dict(fam_dict)
-    grid = GridSpec.from_dict(grid_dict)
+    specs, dim, index, fam, grid = task
     fine = grid.refine(2)
     coarse = _evaluate(specs, dim, sample_member(fam, grid))
     refined = _evaluate(specs, dim, sample_member(fam, fine))
@@ -830,9 +829,7 @@ def run(specs, dim: int, families, coarse_grid: GridSpec,
             raise ValueError(f"entry {spec.id}: invalid parameters for dim {dim}")
     if not specs:
         return []
-    ids = tuple(spec.id for spec in specs)
-    tasks = [(ids, dim, i, fam.to_dict(), coarse_grid.to_dict())
-             for i, fam in enumerate(families)]
+    tasks = [(specs, dim, i, fam, coarse_grid) for i, fam in enumerate(families)]
     members = _map_tasks(tasks, jobs)
     return [_report(spec, dim, [m[k][0] for m in members],
                     sum(m[k][1] for m in members))
@@ -937,14 +934,11 @@ def escalate_family(fam: FamilySpec, level: int) -> FamilySpec:
     if level <= 0:
         return fam
     factor = 2.0 ** level
-    d = fam.to_dict()
     if fam.family == "windowed_trig":
-        d["freq"] = tuple(v * factor for v in fam.freq)
-    elif fam.family in ("mollified_cone", "mollified_indicator"):
-        d["moll_width"] = fam.moll_width / factor
-    else:
-        d["width"] = tuple(w / factor for w in fam.width)
-    return FamilySpec.from_dict(d)
+        return dataclasses.replace(fam, freq=tuple(v * factor for v in fam.freq))
+    if fam.family in ("mollified_cone", "mollified_indicator"):
+        return dataclasses.replace(fam, moll_width=fam.moll_width / factor)
+    return dataclasses.replace(fam, width=tuple(w / factor for w in fam.width))
 
 
 def probe(question: str, depth: int = 2, families=None, grid=None,

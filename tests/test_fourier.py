@@ -272,6 +272,8 @@ def test_slab_functionals_reject_bad_axis_and_levels(corpus2):
     F = transform(corpus2[1].f)
     for axis in (-1, 2, 1.0):
         with pytest.raises(ValueError, match="axis"):
+            riesz(corpus2[1].f, axis)
+        with pytest.raises(ValueError, match="axis"):
             slab_sup(F, axis, 0.5)
         with pytest.raises(ValueError, match="axis"):
             sup_integral_functional(F, axis)

@@ -92,8 +92,9 @@ def test_sampled_families_are_bounded_by_amplitude(corpus1, corpus2):
 
 def test_derivatives_match_finite_differences(corpus1, corpus2):
     # analytic derivatives vs. second-order differences (one-sided at the
-    # ends): O(h^2) agreement
-    for member in corpus1 + corpus2:
+    # ends): O(h^2) agreement; the 3-D members cover all six families
+    corpus3 = corpus_generate(SEED, 6, GridSpec.box(3, 4.0, 32))
+    for member in corpus1 + corpus2 + corpus3:
         for axis in range(member.dim):
             exact = member.derivs[axis].values
             step = member.grid.spacing[axis]
@@ -101,6 +102,27 @@ def test_derivatives_match_finite_differences(corpus1, corpus2):
             scale = max(np.max(np.abs(exact)), 1e-12)
             # families have curvature up to ~(2 pi / width)^2; generous cap
             assert np.max(np.abs(exact - approx)) <= 40.0 * step ** 2 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sample_member_matches_sample_and_derivative(dim):
+    grid = GridSpec.box(dim, 4.0, 16)
+    members = corpus_generate(SEED, len(FAMILY_IDS), grid)
+    assert {m.family.family for m in members} == set(FAMILY_IDS)
+    for m in members:
+        assert np.array_equal(m.f.values, sample(m.family, grid).values)
+        assert len(m.derivs) == dim
+        for k, d in enumerate(m.derivs):
+            assert np.array_equal(d.values, derivative(m.family, k, grid).values)
+
+
+def test_derivative_rejects_bad_axis(corpus2):
+    fam, grid = corpus2[0].family, corpus2[0].grid
+    for axis in (1.0, -1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            derivative(fam, axis, grid)
+    assert np.array_equal(derivative(fam, np.int64(1), grid).values,
+                          corpus2[0].derivs[1].values)
 
 
 def test_tail_fraction_gates_sampling():
@@ -152,12 +174,6 @@ def test_dilate_family_matches_rescaled_grid(corpus2):
                           member.grid.points)
         g = sample(dilate_family(member.family, lam), shrunk)
         assert np.array_equal(g.values, member.f.values)
-
-
-def test_family_spec_dict_roundtrip(corpus2):
-    for member in corpus2:
-        fam = member.family
-        assert FamilySpec.from_dict(fam.to_dict()) == fam
 
 
 def test_corpus_spec_file_roundtrip(tmp_path, grid2):

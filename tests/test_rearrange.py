@@ -129,3 +129,10 @@ def test_iterated_rearrangement_separates_products():
 def test_iterated_rejects_one_dimensional(unit_indicator):
     with pytest.raises(ValueError):
         iterated_rearrangement(unit_indicator)
+
+
+def test_iterated_rejects_bad_axis():
+    f = GridFunction(GridSpec.box(2, 1.0, 4), np.ones((4, 4)))
+    for axis in (1.0, -1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            iterated_rearrangement(f, axis)

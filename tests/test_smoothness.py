@@ -236,10 +236,15 @@ def test_modulus_cost_is_capped_at_the_box(corpus1, monkeypatch):
 
 
 def test_modulus_rejects_bad_axis(corpus1, corpus2):
-    for f, axis in ((corpus1[0].f, 1), (corpus1[0].f, -1), (corpus2[0].f, 2)):
-        for t in (0.0, 1.0):
+    for f in (corpus1[0].f, corpus2[0].f):
+        for axis in (1.0, -1, f.spec.dim):
+            for t in (0.0, 1.0):
+                with pytest.raises(ValueError, match="out of range"):
+                    modulus(f, axis, t, Lebesgue(1.0))
             with pytest.raises(ValueError, match="out of range"):
-                modulus(f, axis, t, Lebesgue(1.0))
+                difference(f, axis, 0.0)
+            with pytest.raises(ValueError, match="out of range"):
+                difference_norms(f, axis, [1], Lebesgue(1.0))
 
 
 def test_nonfinite_radii(corpus1):

@@ -1,5 +1,6 @@
 """Registry integrity, evaluator invariants, and the report machinery."""
 
+import dataclasses
 import json
 import math
 
@@ -116,6 +117,25 @@ def test_report_fields(small_run):
     assert rep.stable and rep.refinement_drift <= 0.10
     d = rep.to_dict()
     assert "runtime" not in d and "dilation" not in d
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_evaluates_the_specs_it_is_given(jobs):
+    # a spec need not be the registry's copy: its params and id are used as given
+    grid = GridSpec.box(1, 8.0, 128)
+    members = corpus_generate(SEED, 3, grid)
+    bound = registry_map()["bound"]
+    specs = [dataclasses.replace(bound, params={1: {"p": 3.0}}),
+             dataclasses.replace(bound, id="custom")]
+    reports = run(specs, 1, [m.family for m in members], grid, jobs=jobs)
+    assert [(r.id, r.params) for r in reports] == [("bound", {"p": 3.0}),
+                                                   ("custom", {"p": 2.0})]
+    for spec, rep in zip(specs, reports):
+        for row, m in zip(rep.rows, members):
+            fine = sample_member(m.family, grid.refine(2))
+            for grid_name, member in (("coarse", m), ("fine", fine)):
+                lhs, rhs = spec.evaluate(member, spec.params[1])
+                assert (row[f"lhs_{grid_name}"], row[f"rhs_{grid_name}"]) == (lhs, rhs)
 
 
 def test_run_is_deterministic_and_pool_safe():
