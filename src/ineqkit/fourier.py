@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
+import scipy.fft
 from scipy.ndimage import map_coordinates, maximum_filter1d
 
 from .gridfn import GridFunction, GridSpec, _check_axis
@@ -83,26 +84,32 @@ class SpectralFunction:
 def transform(f: GridFunction) -> SpectralFunction:
     """Samples of the Fourier transform of f on the dual grid.
 
-    f is immutable, so the result is cached on f itself: every later call
-    with the same object (the Riesz transforms of h1_norm, the other
-    functionals of one corpus member) returns the same read-only
+    The DFT is scipy.fft.fftn, which agrees with numpy.fft.fftn up to
+    rounding.  f is immutable, so the result is cached on f itself: every
+    later call with the same object (the Riesz transforms of h1_norm, the
+    other functionals of one corpus member) returns the same read-only
     SpectralFunction.  The cache lives exactly as long as f; distinct
     GridFunctions never share it, even when their values are equal.
     """
     F = vars(f).get("_spectrum")
     if F is None:
-        vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
-        F = SpectralFunction(dual_grid(f.spec), vals * f.spec.cell_volume)
+        vals = np.fft.fftshift(scipy.fft.fftn(np.fft.ifftshift(f.values)))
+        vals *= f.spec.cell_volume
+        F = SpectralFunction(dual_grid(f.spec), vals)
         vars(f)["_spectrum"] = F  # f is frozen: bypass its __setattr__
     return F
 
 
-def inverse_transform(F: SpectralFunction, kind="real") -> GridFunction:
-    spec = dual_grid(F.spec)
-    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(F.values))) / spec.cell_volume
+def _inverse(values: np.ndarray, spec: GridSpec, kind) -> GridFunction:
+    """GridFunction on spec from spectral samples on its dual grid; values is not modified."""
+    vals = np.fft.fftshift(scipy.fft.ifftn(np.fft.ifftshift(values), overwrite_x=True))
     if kind == "real":
-        return GridFunction(spec, vals.real, "real")
-    return GridFunction(spec, vals, "complex")
+        return GridFunction(spec, vals.real / spec.cell_volume, "real")
+    return GridFunction(spec, vals / spec.cell_volume, "complex")
+
+
+def inverse_transform(F: SpectralFunction, kind="real") -> GridFunction:
+    return _inverse(F.values, dual_grid(F.spec), kind)
 
 
 def apply_multiplier(F: SpectralFunction, multiplier: np.ndarray) -> SpectralFunction:
@@ -134,8 +141,10 @@ def _riesz_multiplier(spec: GridSpec, j) -> np.ndarray:
     mesh = spec.meshgrid()
     r = frequency_radii(spec)
     # the symbol has no limit at the origin; 0 keeps mean-zero inputs exact
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.where(r > 0, -1j * mesh[j] / np.where(r > 0, r, 1.0), 0.0)
+    origin = r == 0
+    r[origin] = 1.0
+    m = -1j * mesh[j] / r
+    m[origin] = 0.0
     return m
 
 
@@ -144,8 +153,9 @@ def riesz(f: GridFunction, j) -> GridFunction:
     _check_axis(j, f.spec.dim)
     F = transform(f)
     _warn_if_not_mean_zero(F, "riesz")
-    out = apply_multiplier(F, _riesz_multiplier(F.spec, j))
-    return inverse_transform(out, f.kind)
+    m = _riesz_multiplier(F.spec, j)
+    m *= F.values
+    return _inverse(m, dual_grid(F.spec), f.kind)
 
 
 def h1_norm(f: GridFunction) -> float:

@@ -434,6 +434,8 @@ def sample(fam: FamilySpec, grid: GridSpec) -> GridFunction:
 
 def derivative(fam: FamilySpec, axis, grid: GridSpec) -> GridFunction:
     """Closed-form partial derivative along axis, sampled on the grid."""
+    if fam.dim != grid.dim:
+        raise ValueError("family and grid dimension mismatch")
     _check_axis(axis, fam.dim)
     _, (partial,) = _FIELDS[fam.family](fam, grid.meshgrid(), (axis,))
     return _grid_function(grid, partial)

@@ -97,8 +97,16 @@ def empirical_ratio(lhs: float, rhs: float) -> float:
 
 
 def _grad_norm(member: CorpusMember, p: float) -> float:
-    g = np.sqrt(sum(d.values ** 2 for d in member.derivs))
-    return norm_of_values(g, member.grid, Lebesgue(p))
+    """||grad f||_p of the member, cached per p on the member.
+
+    Only the float is kept: the |grad f| array would hold a full grid per
+    member for as long as the member lives.
+    """
+    cache = vars(member).setdefault("_grad_norms", {})  # member is frozen
+    if p not in cache:
+        g = np.sqrt(sum(d.values ** 2 for d in member.derivs))
+        cache[p] = norm_of_values(g, member.grid, Lebesgue(p))
+    return cache[p]
 
 
 def _worst_pair(pairs):

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.ndimage import map_coordinates
 
 from ineqkit import fourier
@@ -97,8 +98,8 @@ def test_h1_norm_dominates_l1(corpus2):
 
 
 def _uncached_transform(f):
-    """The transform of a fresh copy of f's values; never reads a cache."""
-    vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values.copy())))
+    """The transform of a fresh copy of f's values on the same engine; never reads a cache."""
+    vals = np.fft.fftshift(scipy.fft.fftn(np.fft.ifftshift(f.values.copy())))
     return SpectralFunction(dual_grid(f.spec), vals * f.spec.cell_volume)
 
 
@@ -133,6 +134,74 @@ def test_riesz_and_h1_norm_match_uncached_oracle(corpus2, corpus3):
                     expected += lp_norm(_uncached_riesz(g, j), 1)
                 assert h1_norm(g) == float(expected)
                 assert h1_norm(g) == float(expected)  # now from the cache
+
+
+def _numpy_transform(f):
+    """The numpy.fft transform that fourier used before scipy.fft: the naive oracle."""
+    vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
+    return SpectralFunction(dual_grid(f.spec), vals * f.spec.cell_volume)
+
+
+def _numpy_inverse(F, kind):
+    spec = dual_grid(F.spec)
+    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(F.values))) / spec.cell_volume
+    return vals.real if kind == "real" else vals
+
+
+def _where_riesz_multiplier(spec, j):
+    """The Riesz symbol as one masked np.where, as fourier built it before."""
+    mesh = spec.meshgrid()
+    r = frequency_radii(spec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r > 0, -1j * mesh[j] / np.where(r > 0, r, 1.0), 0.0)
+
+
+def _numpy_riesz(f, j):
+    F = _numpy_transform(f)
+    return _numpy_inverse(SpectralFunction(F.spec, F.values * _where_riesz_multiplier(F.spec, j)), f.kind)
+
+
+def _assert_close(a, b):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_spectral_layer_matches_numpy_fft_oracle(corpus1, corpus2, corpus3):
+    for corpus in (corpus1, corpus2, corpus3):
+        for member in corpus[:3]:
+            g = member.derivs[0]
+            twisted = GridFunction(g.spec, g.values + 0.5j * member.f.values, "complex")
+            for f in (g, twisted):
+                f = GridFunction(f.spec, f.values, f.kind)  # no cache yet
+                F = transform(f)
+                _assert_close(F.values, _numpy_transform(f).values)
+                for kind in ("real", "complex"):
+                    _assert_close(inverse_transform(F, kind).values, _numpy_inverse(F, kind))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    expected = lp_norm(f, 1)
+                    for j in range(f.spec.dim):
+                        naive = _numpy_riesz(f, j)
+                        _assert_close(riesz(f, j).values, naive)
+                        expected += lp_norm(GridFunction(f.spec, naive, f.kind), 1)
+                    assert h1_norm(f) == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("half_extents,points", [
+    ((8.0,), (256,)),
+    ((3.0,), (10,)),
+    ((3.0, 2.0), (10, 8)),
+    ((4.0, 4.0, 1.5), (16, 6, 10)),
+])
+def test_riesz_multiplier_matches_masked_where(half_extents, points):
+    # N/2 odd or even; the dual of a 10-point axis with L = 3 has no node at
+    # exactly 0 (the middle one rounds to 1.1e-16), so |xi| > 0 everywhere there
+    spec = dual_grid(GridSpec(len(points), half_extents, points))
+    for j in range(spec.dim):
+        new = fourier._riesz_multiplier(spec, j)
+        old = _where_riesz_multiplier(spec, j)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
 
 
 def test_ball_maximum_matches_brute_force():

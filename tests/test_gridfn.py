@@ -125,6 +125,15 @@ def test_derivative_rejects_bad_axis(corpus2):
                           corpus2[0].derivs[1].values)
 
 
+def test_derivative_rejects_dimension_mismatch():
+    fam = FamilySpec("gaussian", 2, 1.0, (0.0, 0.0), (1.0, 1.0))
+    grid = GridSpec.box(3, 4.0, 8)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sample(fam, grid)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        derivative(fam, 0, grid)
+
+
 def test_tail_fraction_gates_sampling():
     grid = GridSpec.box(1, 8.0, 128)
     centered = FamilySpec("gaussian", 1, 1.0, (0.0,), (1.0,))

@@ -85,6 +85,14 @@ def test_ratio_invariant_under_amplitude_scaling(entry_id, corpus1, corpus2, cor
         empirical_ratio(lhs, rhs), rel=1e-10, abs=1e-300)
 
 
+def test_grad_norm_is_cached_per_p(grid2):
+    member = corpus_generate(SEED, 2, grid2)[1]
+    grad = np.sqrt(sum(d.values ** 2 for d in member.derivs))
+    for p in (1.0, 2.0, 1.0, 2.0):
+        direct = (np.sum(grad ** p) * grid2.cell_volume) ** (1.0 / p)
+        assert verify._grad_norm(member, p) == pytest.approx(direct, rel=1e-12)
+
+
 def test_zero_function_passes_assert_entries(grid1):
     zero = [FamilySpec("gaussian", 1, 0.0, (0.0,), (1.0,))]
     for name in ("hardy", "bound", "omega1"):
