@@ -60,9 +60,10 @@ def _check_axis(axis, dim: int) -> None:
 class GridSpec:
     """Uniform grid on the box prod_i [-L_i, L_i] with N_i (even) points per axis.
 
-    Nodes along axis i are x_j = -L_i + j * h_i for j = 0..N_i-1 with
-    h_i = 2 L_i / N_i, so 0 is always a node and the layout matches the
-    standard FFT ordering after an ifftshift.
+    Nodes along axis i are x_j = (j - N_i/2) h_i for j = 0..N_i-1 with
+    h_i = 2 L_i / N_i, so x_0 = -L_i up to rounding, x_(N_i/2) is exactly
+    0, the nodes x_(N_i/2 +- k) are exact negatives of each other, and the
+    layout matches the standard FFT ordering after an ifftshift.
     """
 
     dim: int
@@ -102,9 +103,8 @@ class GridSpec:
         return self.points
 
     def axis_nodes(self, axis) -> np.ndarray:
-        L = self.half_extents[axis]
-        h = self.spacing[axis]
-        return -L + h * np.arange(self.points[axis])
+        n = self.points[axis]
+        return self.spacing[axis] * (np.arange(n) - n // 2)
 
     def meshgrid(self) -> list[np.ndarray]:
         """Sparse (broadcastable) coordinate arrays for all axes."""

@@ -91,6 +91,20 @@ def test_riesz_warns_on_nonzero_mean(grid1):
         riesz(f, 0)
 
 
+def test_riesz_warns_on_every_call_with_the_same_text(grid2):
+    f = sample(FamilySpec("gaussian", 2, 1.0, (0.5, -0.3), (1.0, 1.2)), grid2)
+    F = _uncached_transform(f)
+    scale = float(np.max(np.abs(F.values)))
+    weight = abs(F.values[16, 16]) / scale
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):
+            riesz(f, 1)
+    assert [w.category for w in caught] == [RuntimeWarning] * 3
+    assert all(str(w.message) == str(caught[0].message) for w in caught)
+    assert f"(relative weight {weight:.2e})" in str(caught[0].message)
+
+
 def test_h1_norm_dominates_l1(corpus2):
     member = corpus2[0]
     g = GridFunction(member.grid, member.derivs[0].values)
@@ -98,14 +112,75 @@ def test_h1_norm_dominates_l1(corpus2):
 
 
 def _uncached_transform(f):
-    """The transform of a fresh copy of f's values on the same engine; never reads a cache."""
+    """The naive transform: rolls around the DFT, then a separate scaling pass; never reads a cache."""
     vals = np.fft.fftshift(scipy.fft.fftn(np.fft.ifftshift(f.values.copy())))
     return SpectralFunction(dual_grid(f.spec), vals * f.spec.cell_volume)
 
 
+def _rolled_inverse(values, spec, kind):
+    """The naive inverse: rolls around the inverse DFT, then a separate scaling pass."""
+    vals = np.fft.fftshift(scipy.fft.ifftn(np.fft.ifftshift(values), overwrite_x=True))
+    if kind == "real":
+        return GridFunction(spec, vals.real / spec.cell_volume, "real")
+    return GridFunction(spec, vals / spec.cell_volume, "complex")
+
+
+def _division_riesz_multiplier(spec, j):
+    """The complex Riesz symbol -1j xi_j / |xi|, one complex division, 0 at |xi| = 0."""
+    mesh = spec.meshgrid()
+    r = frequency_radii(spec)
+    origin = r == 0
+    r[origin] = 1.0
+    m = -1j * mesh[j] / r
+    m[origin] = 0.0
+    return m
+
+
 def _uncached_riesz(f, j):
     F = _uncached_transform(f)
-    return inverse_transform(SpectralFunction(F.spec, F.values * fourier._riesz_multiplier(F.spec, j)), f.kind)
+    m = _division_riesz_multiplier(F.spec, j)
+    m *= F.values
+    return _rolled_inverse(m, dual_grid(F.spec), f.kind)
+
+
+def _where_weighted_integral(F, gamma):
+    """The full-grid rule: |xi| and |xi|^gamma on every node, masked by np.where."""
+    r = frequency_radii(F.spec)
+    mask = r > 0
+    with np.errstate(divide="ignore"):
+        integrand = np.where(mask, np.abs(F.values) * np.where(mask, r, 1.0) ** gamma, 0.0)
+    cell = F.spec.cell_volume
+    near = mask & (r <= math.hypot(*F.spec.spacing) + 1e-12)
+    return float(integrand.sum() * cell), float(integrand[near].sum() * cell)
+
+
+def _oracle_inputs(corpus1, corpus2, corpus3):
+    """Members of every dimension, real and complex, C- and F-ordered, without a cached spectrum."""
+    for corpus in (corpus1, corpus2, corpus3):
+        for member in corpus[:2]:
+            g = member.derivs[0]
+            twisted = GridFunction(g.spec, g.values + 0.5j * member.f.values, "complex")
+            for f in (g, twisted, member.f):
+                yield GridFunction(f.spec, f.values, f.kind)
+            yield GridFunction(g.spec, np.asfortranarray(g.values))
+
+
+def test_transform_inverse_riesz_and_h1_norm_match_rolled_oracles(corpus1, corpus2, corpus3):
+    for f in _oracle_inputs(corpus1, corpus2, corpus3):
+        F = transform(f)
+        assert np.array_equal(F.values, _uncached_transform(f).values)
+        for kind in ("real", "complex"):
+            got = inverse_transform(F, kind)
+            assert got.kind == kind and not got.values.flags.writeable
+            assert np.array_equal(got.values, _rolled_inverse(F.values, f.spec, kind).values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = lp_norm(f, 1)
+            for j in range(f.spec.dim):
+                naive = _uncached_riesz(f, j)
+                assert np.array_equal(riesz(f, j).values, naive.values)
+                expected += lp_norm(naive, 1)
+            assert h1_norm(f) == float(expected)
 
 
 def test_transform_is_cached_on_the_instance(corpus2):
@@ -194,14 +269,17 @@ def test_spectral_layer_matches_numpy_fft_oracle(corpus1, corpus2, corpus3):
     ((4.0, 4.0, 1.5), (16, 6, 10)),
 ])
 def test_riesz_multiplier_matches_masked_where(half_extents, points):
-    # N/2 odd or even; the dual of a 10-point axis with L = 3 has no node at
-    # exactly 0 (the middle one rounds to 1.1e-16), so |xi| > 0 everywhere there
+    # N/2 odd or even; the dual of a 10-point axis with L = 3 used to have
+    # its middle node at 1.1e-16 instead of 0
     spec = dual_grid(GridSpec(len(points), half_extents, points))
     for j in range(spec.dim):
         new = fourier._riesz_multiplier(spec, j)
         old = _where_riesz_multiplier(spec, j)
-        assert new.dtype == old.dtype and new.shape == old.shape
-        assert new.tobytes() == old.tobytes()
+        assert new.dtype == np.float64 and new.shape == old.shape
+        # the real symbol q is the imaginary part i q of the complex one
+        assert not np.any(old.real)
+        assert new.tobytes() == old.imag.tobytes()
+        assert new.tobytes() == _division_riesz_multiplier(spec, j).imag.tobytes()
 
 
 def test_ball_maximum_matches_brute_force():
@@ -458,6 +536,45 @@ def test_cube_shell_sum_finite_and_homogeneous(corpus2):
     assert np.isfinite(val) and val > 0
     scaled = SpectralFunction(F.spec, 2.0 * F.values)
     assert cube_shell_sum(scaled) == pytest.approx(2.0 * val, rel=1e-12)
+
+
+@pytest.mark.parametrize("half_extents,points", [
+    ((8.0,), (256,)),
+    ((3.0,), (10,)),
+    ((4.0, 3.0), (32, 14)),
+    ((4.0, 4.0, 1.5), (16, 6, 10)),
+])
+def test_weighted_fourier_integral_matches_full_grid_rule(half_extents, points):
+    # N/2 even and odd; each gaussian has a nonzero mean, its derivative not
+    grid = GridSpec(len(points), half_extents, points)
+    n = grid.dim
+    fam = FamilySpec("gaussian", n, 1.0, tuple(L / 10 for L in half_extents),
+                     tuple(L / 5 for L in half_extents))
+    for f in (sample(fam, grid), derivative(fam, 0, grid)):
+        F = transform(f)
+        for gamma in (1 - n, -n, 0, 0.5):
+            got = weighted_fourier_integral(F, gamma)
+            value, near = _where_weighted_integral(F, gamma)
+            assert got.value == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert got.near_origin == pytest.approx(near, rel=1e-12, abs=0.0)
+            assert near > 0.0
+
+
+def test_radial_weights_are_cached_read_only_and_bounded():
+    cache = fourier._radial_weights
+    assert cache.cache_info().maxsize is not None
+    spec = dual_grid(GridSpec(3, (4.0, 3.0, 2.0), (16, 14, 8)))
+    w, near = cache(spec, -3)
+    assert w.shape == (9, 8, 5)
+    assert cache(spec, -3.0)[0] is w
+    for arr in (w, near):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert w[0, 0, 0] == 0.0 and np.all(w.ravel()[1:] > 0)
+    for k in range(cache.cache_info().maxsize + 4):
+        cache(spec, float(k))
+    assert cache.cache_info().currsize == cache.cache_info().maxsize
 
 
 def test_weighted_fourier_integral_diagnostic():

@@ -30,6 +30,44 @@ def test_grid_spec_geometry():
     assert np.allclose(np.diff(nodes), 0.25)
 
 
+def _sweep_specs():
+    for n in range(2, 200, 2):
+        for k in range(39):
+            g = GridSpec.box(1, 0.5 + 0.25 * k, n)
+            yield g
+            yield GridSpec(1, (n / (4.0 * g.half_extents[0]),), (n,))  # its dual grid
+
+
+def test_grid_nodes_have_an_exact_zero_and_are_antisymmetric():
+    count = 0
+    for g in _sweep_specs():
+        x = g.axis_nodes(0)
+        m = g.points[0] // 2
+        assert x[m] == 0.0
+        assert np.array_equal(x[m + 1:], -x[m - 1:0:-1])
+        count += 1
+    assert count == 7722
+
+
+def test_grid_nodes_match_the_offset_formula_on_the_run_grids():
+    # default, fine and dilated grids of every dimension, and criterion 6's
+    # 3-D grid with its refinement and dilations, and all their duals
+    shapes = [(1, 8.0, 256), (2, 4.0, 32), (3, 4.0, 32), (3, 4.0, 64)]
+    specs = []
+    for dim, L, n in shapes:
+        for grid in (GridSpec.box(dim, L, n), GridSpec.box(dim, L, 2 * n)):
+            specs.append(grid)
+        for lam in (0.5, 2.0):
+            specs.append(GridSpec.box(dim, L / lam, 2 * n))
+    specs += [GridSpec(s.dim, tuple(N / (4.0 * L) for N, L in zip(s.points, s.half_extents)),
+                       s.points) for s in specs]
+    for spec in specs:
+        for axis in range(spec.dim):
+            L, h = spec.half_extents[axis], spec.spacing[axis]
+            old = -L + h * np.arange(spec.points[axis])
+            assert spec.axis_nodes(axis).tobytes() == old.tobytes()
+
+
 def test_grid_spec_rejects_odd_points():
     with pytest.raises(ValueError):
         GridSpec(1, (4.0,), (15,))
