@@ -48,11 +48,9 @@ __all__ = [
     "dual_grid",
     "transform",
     "inverse_transform",
-    "apply_multiplier",
     "frequency_radii",
     "riesz",
     "h1_norm",
-    "default_time_grid",
     "ball_maximum",
     "cone_derivative_check",
     "slab_sup",
@@ -175,7 +173,7 @@ def inverse_transform(F: SpectralFunction, kind="real") -> GridFunction:
     return _inverse(F.values, dual_grid(F.spec), kind)
 
 
-def apply_multiplier(F: SpectralFunction, multiplier: np.ndarray) -> SpectralFunction:
+def _apply_multiplier(F: SpectralFunction, multiplier: np.ndarray) -> SpectralFunction:
     return _owned(SpectralFunction, F.spec,
                   np.asarray(F.values * multiplier, dtype=np.complex128))
 
@@ -248,7 +246,7 @@ def _poisson_multiplier(spec: GridSpec, t) -> np.ndarray:
     return np.exp(-2.0 * np.pi * r * t)
 
 
-def default_time_grid(spec: GridSpec) -> np.ndarray:
+def _default_time_grid(spec: GridSpec) -> np.ndarray:
     """64 geometric heights in [min spacing / 4, 8 max extent] for the cone sups."""
     lo = min(spec.spacing) / 4.0
     hi = 8.0 * max(spec.half_extents)
@@ -313,7 +311,7 @@ def cone_derivative_check(f: GridFunction, t_grid=None) -> tuple[np.ndarray, np.
     use the same sampled cone; derivatives are spectral.
     """
     if t_grid is None:
-        t_grid = default_time_grid(f.spec)
+        t_grid = _default_time_grid(f.spec)
     F = transform(f)
     spec = f.spec
     mesh = F.spec.meshgrid()
@@ -323,13 +321,13 @@ def cone_derivative_check(f: GridFunction, t_grid=None) -> tuple[np.ndarray, np.
     for t in t_grid:
         pt = _poisson_multiplier(F.spec, t)
         u_t = np.abs(inverse_transform(
-            apply_multiplier(F, -2.0 * np.pi * r * pt), "complex").values)
+            _apply_multiplier(F, -2.0 * np.pi * r * pt), "complex").values)
         np.maximum(lhs, ball_maximum(u_t, spec, t), out=lhs)
         for j in range(spec.dim):
             # Riesz of the j-th derivative: symbol 2 pi xi_j^2 / |xi|
             with np.errstate(divide="ignore", invalid="ignore"):
                 sym = np.where(r > 0, 2.0 * np.pi * mesh[j] ** 2 / np.where(r > 0, r, 1.0), 0.0)
-            v = np.abs(inverse_transform(apply_multiplier(F, sym * pt), "complex").values)
+            v = np.abs(inverse_transform(_apply_multiplier(F, sym * pt), "complex").values)
             np.maximum(rhs_parts[j], ball_maximum(v, spec, t), out=rhs_parts[j])
     return lhs, sum(rhs_parts)
 

@@ -11,13 +11,21 @@ a validity window over the exponent parameters and a kind:
   probe   - an open question; probe() sweeps escalating input families and
             reports evidence, never a direction.
 
+Most entries are Sides: each side is a sum of named functionals of the
+member (a norm of f, ||grad f||_p, H^1 norms of the derivatives, Besov
+integrals over plain, Lorentz and mixed bases, weighted and shell integrals
+of the spectrum), with their exponents written as templates over the entry's
+params.  Each functional is evaluated at most once per member and cached on
+it, so entries that share a side share its work.  The worst-pair and
+derived-exponent entries keep their own evaluators.
+
 Every member is evaluated at a coarse grid and its 2x refinement; the
 empirical constant is the maximum fine-grid ratio.  The runner is
 member-major: each member is sampled once per grid and every entry is
 evaluated on that sample.  Entries, families and grids are frozen dataclasses
-and evaluators are top-level functions, so a task carries the specs
-themselves to a worker process, which samples the member from its (family,
-grid) pair.
+and functionals and evaluators are top-level functions, so a task carries the
+specs themselves to a worker process, which samples the member from its
+(family, grid) pair.
 """
 
 from __future__ import annotations
@@ -39,8 +47,7 @@ from . import fourier
 from .gridfn import (CorpusMember, FamilySpec, FORMAT_VERSION, GridSpec, _atomic_write,
                      corpus_generate, dilate_family, sample_member)
 from .hardyops import RaySamples, doublestar_bound_check, hardy_check
-from .norms import (Lebesgue, Lorentz, Mixed, iterated_lorentz_norm,
-                    lorentz_norm, lp_norm, norm, norm_of_values, parse_norm)
+from .norms import Lebesgue, Mixed, lp_norm, norm, norm_of_values, parse_norm
 from .rearrange import decreasing_rearrangement, double_star
 # difference_norms stays importable from here: perfbench/tests checks the name.
 from .smoothness import (BesovSpec, _moduli, besov_seminorm, difference_norms,  # noqa: F401
@@ -55,6 +62,7 @@ __all__ = [
     "run_all",
     "probe",
     "save_report",
+    "save_probe",
     "default_grid",
     "default_families",
     "empirical_ratio",
@@ -94,19 +102,6 @@ def empirical_ratio(lhs: float, rhs: float) -> float:
 # ---------------------------------------------------------------------------
 # evaluators (top-level, so the pool can pickle the entries that name them)
 # ---------------------------------------------------------------------------
-
-
-def _grad_norm(member: CorpusMember, p: float) -> float:
-    """||grad f||_p of the member, cached per p on the member.
-
-    Only the float is kept: the |grad f| array would hold a full grid per
-    member for as long as the member lives.
-    """
-    cache = vars(member).setdefault("_grad_norms", {})  # member is frozen
-    if p not in cache:
-        g = np.sqrt(sum(d.values ** 2 for d in member.derivs))
-        cache[p] = norm_of_values(g, member.grid, Lebesgue(p))
-    return cache[p]
 
 
 def _worst_pair(pairs):
@@ -179,47 +174,6 @@ def _eval_omega1(member, params):
     return _worst_pair(pairs)
 
 
-def _besov_axis_sum(member, alpha, theta, base_for_axis):
-    total = 0.0
-    for k in range(member.dim):
-        spec = BesovSpec(alpha, theta, k, base_for_axis(k))
-        total += besov_seminorm(member.f, spec, deriv=member.derivs[k])
-    return total
-
-
-def _eval_sob1(member, params):
-    return lp_norm(member.f, params["pstar"]), _grad_norm(member, params["p"])
-
-
-def _eval_embed0(member, params):
-    lhs = lorentz_norm(member.f, params["pstar"], params["p"])
-    return lhs, _grad_norm(member, params["p"])
-
-
-def _eval_embed1(member, params):
-    p, q, s = params["p"], params["q"], params["s"]
-    lhs = _besov_axis_sum(member, s, p, lambda k: Lorentz(q, p))
-    rhs = sum(lp_norm(d, p) for d in member.derivs)
-    return lhs, rhs
-
-
-def _eval_embed32(member, params):
-    p, q, alpha = params["p"], params["q"], params["alpha"]
-    lhs = _besov_axis_sum(member, alpha, p,
-                          lambda k: Mixed(k, Lebesgue(p), Lorentz(q, p)))
-    rhs = sum(lp_norm(d, p) for d in member.derivs)
-    return lhs, rhs
-
-
-def _eval_hardy_refined(member, params):
-    """Mixed-norm first-difference integral vs. Riesz-augmented L1 norms."""
-    q, alpha = params["q"], params["alpha"]
-    lhs = _besov_axis_sum(member, alpha, 1.0,
-                          lambda k: Mixed(k, Lebesgue(1.0), Lorentz(q, 1.0)))
-    rhs = sum(fourier.h1_norm(d) for d in member.derivs)
-    return lhs, rhs
-
-
 def _eval_ulyanov2(member, params):
     p, q = params["p"], params["q"]
     spec = BesovSpec(1.0 / p - 1.0 / q, q, 0, Lebesgue(p))
@@ -240,140 +194,122 @@ def _eval_ulyanov3(member, params):
     return _worst_pair(pairs)
 
 
-def _eval_diff(member, params):
-    p, q, theta = params["p"], params["q"], params["theta"]
-    alpha, beta = params["alpha"], params["beta"]
-    lhs = lp_norm(member.f, q) + _besov_axis_sum(member, beta, theta,
-                                                 lambda k: Lebesgue(q))
-    rhs = lp_norm(member.f, p) + _besov_axis_sum(member, alpha, theta,
-                                                 lambda k: Lebesgue(p))
-    return lhs, rhs
+# ---------------------------------------------------------------------------
+# sides: named functionals of a member, shared between entries
+# ---------------------------------------------------------------------------
+# Each functional is a top-level (member, *args) -> value, so the entries that
+# name it pickle.  It reaches the public kernels (fourier.h1_norm, norm, ...)
+# through module attributes at call time, so a wrapper installed around them
+# after the registry is built still sees every call.  Exponents arrive as text,
+# like the norm texts around them, so a literal "1.0" and a template "{p}"
+# that resolves to it share one memo key.
 
 
-def _eval_equivalence(member, params):
-    """Theta-power integrals of the modulus vs. the plain difference norm.
+def _value(member: CorpusMember, functional, *args):
+    """functional(member, *args), evaluated once per member and cached on it.
 
-    Termwise the modulus dominates the difference norm, so the ratio is at
-    least 1; the inequality under test bounds it from above.
+    Only the float is kept, keyed by the functional and its resolved args, so
+    entries that share a side (or a term of one) share its evaluation.
     """
-    alpha, theta = params["alpha"], params["theta"]
-    base = parse_norm(params["base"])
-    spec_m = BesovSpec(alpha, theta, 0, base, use_modulus=True)
-    spec_d = BesovSpec(alpha, theta, 0, base)
-    lhs = besov_seminorm(member.f, spec_m, deriv=member.derivs[0]) ** theta
-    rhs = besov_seminorm(member.f, spec_d, deriv=member.derivs[0]) ** theta
-    return lhs, rhs
+    memo = vars(member).setdefault("_values", {})  # member is frozen
+    key = (functional, args)
+    if key not in memo:
+        memo[key] = functional(member, *args)
+    return memo[key]
 
 
-def _simple_base(params):
-    return Mixed(0, Lebesgue(params["r"]), Lebesgue(params["p"]))
+def _norm(member, text):
+    return norm(member.f, text)
 
 
-def _eval_simple1(member, params):
-    base = _simple_base(params)
-    spec = BesovSpec(params["alpha"], params["theta"], 0, base, use_modulus=True)
-    rhs = norm(member.f, base) + besov_seminorm(member.f, spec,
-                                                deriv=member.derivs[0])
-    return lp_norm(member.f, params["p"]), rhs
+def _grad(member, p):
+    """||grad f||_p; the |grad f| array is dropped once its norm is taken."""
+    g = np.sqrt(sum(d.values ** 2 for d in member.derivs))
+    return norm_of_values(g, member.grid, Lebesgue(float(p)))
 
 
-def _eval_simple2(member, params):
-    theta = params["theta"]
-    spec_l = BesovSpec(params["beta"], theta, 0, Lebesgue(params["p"]))
-    spec_r = BesovSpec(params["alpha"], theta, 0, _simple_base(params))
-    lhs = besov_seminorm(member.f, spec_l, deriv=member.derivs[0]) ** theta
-    rhs = besov_seminorm(member.f, spec_r, deriv=member.derivs[0]) ** theta
-    return lhs, rhs
+def _deriv_norms(member, p):
+    return sum(lp_norm(d, float(p)) for d in member.derivs)
 
 
-def _strong_base(params):
-    return Mixed(0, Lebesgue(params["r"]), Lorentz(params["p"], params["nu"]))
+def _h1(member, k):
+    return fourier.h1_norm(member.derivs[k])
 
 
-def _eval_strong1(member, params):
-    base = _strong_base(params)
-    spec = BesovSpec(params["alpha"], params["theta"], 0, base, use_modulus=True)
-    rhs = norm(member.f, base) + besov_seminorm(member.f, spec,
-                                                deriv=member.derivs[0])
-    return lorentz_norm(member.f, params["p"], params["nu"]), rhs
+def _h1_sum(member):
+    return sum(_value(member, _h1, k) for k in range(member.dim))
 
 
-def _eval_strong10(member, params):
-    theta = params["theta"]
-    spec_l = BesovSpec(params["beta"], theta, 0,
-                       Lorentz(params["p"], params["nu"]))
-    spec_r = BesovSpec(params["alpha"], theta, 0, _strong_base(params))
-    lhs = besov_seminorm(member.f, spec_l, deriv=member.derivs[0]) ** theta
-    rhs = besov_seminorm(member.f, spec_r, deriv=member.derivs[0]) ** theta
-    return lhs, rhs
+def _besov(member, alpha, theta, base, modulus=False, power=False):
+    """Axis-0 Besov integral over the base norm text.
+
+    modulus integrates the modulus of smoothness instead of the difference
+    norm; power raises the integral to theta.
+    """
+    spec = BesovSpec(float(alpha), float(theta), 0, parse_norm(base),
+                     use_modulus=modulus)
+    value = besov_seminorm(member.f, spec, deriv=member.derivs[0])
+    return value ** float(theta) if power else value
 
 
-def _eval_const1(member, params):
-    p, nu = params["p"], params["nu"]
-    return lorentz_norm(member.f, p, nu), iterated_lorentz_norm(member.f, p, nu)
+def _besov_sum(member, alpha, theta, base):
+    """Sum over the axes k of the axis-k Besov integral; a Mix base runs along k."""
+    base = parse_norm(base)
+    total = 0.0
+    for k in range(member.dim):
+        base_k = dataclasses.replace(base, axis=k) if isinstance(base, Mixed) else base
+        spec = BesovSpec(float(alpha), float(theta), k, base_k)
+        total += besov_seminorm(member.f, spec, deriv=member.derivs[k])
+    return total
 
 
-def _eval_const2(member, params):
-    p, nu = params["p"], params["nu"]
-    return iterated_lorentz_norm(member.f, p, nu), lorentz_norm(member.f, p, nu)
+def _weighted(member, shift, k=None):
+    """Integral of |xi|^(shift - n) |F| for f, or for its derivative along k."""
+    F = fourier.transform(member.f if k is None else member.derivs[k])
+    return fourier.weighted_fourier_integral(F, shift - member.dim).value
 
 
-def _eval_h_ineq(member, params):
-    g = member.derivs[0]
-    F = fourier.transform(g)
-    lhs = fourier.weighted_fourier_integral(F, -member.dim).value
-    return lhs, fourier.h1_norm(g)
+def _weighted_sum(member, shift):
+    return sum(_value(member, _weighted, shift, k) for k in range(member.dim))
 
 
-def _eval_pelcz(member, params):
-    F = fourier.transform(member.f)
-    lhs = fourier.weighted_fourier_integral(F, 1 - member.dim).value
-    return lhs, _grad_norm(member, 1.0)
-
-
-def _eval_pelcz1(member, params):
-    lhs = 0.0
-    for d in member.derivs:
-        lhs += fourier.weighted_fourier_integral(fourier.transform(d),
-                                                 -member.dim).value
-    rhs = sum(lp_norm(d, 1.0) for d in member.derivs)
-    return lhs, rhs
-
-
-def _eval_oberlin(member, params):
-    g = member.derivs[0]
-    F = fourier.transform(g)
+def _shells(member, shift, k=None):
+    """Dyadic shell sum at |xi|^(shift - n) for f, or for its derivative along k."""
+    F = fourier.transform(member.f if k is None else member.derivs[k])
     quad = fourier.ShellQuadrature(member.dim)
-    return fourier.dyadic_shell_sum(F, 1 - member.dim, quad), fourier.h1_norm(g)
+    return fourier.dyadic_shell_sum(F, shift - member.dim, quad)
 
 
-def _eval_sup_integral(member, params):
+def _slab_sups(member):
     F = fourier.transform(member.f)
-    lhs = sum(fourier.sup_integral_functional(F, j) for j in range(member.dim))
-    return lhs, _grad_norm(member, 1.0)
+    return sum(fourier.sup_integral_functional(F, j) for j in range(member.dim))
 
 
-def _eval_sup_integral_h1(member, params):
-    F = fourier.transform(member.f)
-    lhs = sum(fourier.sup_integral_functional(F, j) for j in range(member.dim))
-    return lhs, sum(fourier.h1_norm(d) for d in member.derivs)
+def _cube_shells(member):
+    return fourier.cube_shell_sum(fourier.transform(member.f))
 
 
-def _eval_obertype1(member, params):
-    F = fourier.transform(member.f)
-    quad = fourier.ShellQuadrature(member.dim)
-    return fourier.dyadic_shell_sum(F, 2 - member.dim, quad), _grad_norm(member, 1.0)
+def _side(member, terms, params):
+    """Sum of the terms (functional, *args), in order; str args are templates."""
+    return sum(_value(member, functional,
+                      *(a.format_map(params) if isinstance(a, str) else a for a in args))
+               for functional, *args in terms)
 
 
-def _eval_obertype33(member, params):
-    F = fourier.transform(member.f)
-    return fourier.cube_shell_sum(F), _grad_norm(member, 1.0)
+@dataclass(frozen=True)
+class Sides:
+    """An entry's evaluator as two sums of named functionals of the member.
 
+    lhs and rhs are tuples of terms (functional, *args).  A str arg is a
+    str.format template over the params a run is given, resolved per call,
+    so a spec whose params are replaced evaluates the new ones.
+    """
 
-def _eval_embed_compare(member, params):
-    lhs = _eval_embed1(member, params)[0]
-    rhs = _eval_embed32(member, params)[0]
-    return lhs, rhs
+    lhs: tuple
+    rhs: tuple
+
+    def __call__(self, member: CorpusMember, params: dict) -> tuple[float, float]:
+        return _side(member, self.lhs, params), _side(member, self.rhs, params)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +390,6 @@ def _valid_const2(dim, params):
     return dim == 2 and 0 < params["p"] <= params["nu"] < math.inf
 
 
-def _valid_dim2plus(dim, params):
-    return dim >= 2
-
-
-def _valid_dim3plus(dim, params):
-    return dim >= 3
-
-
 def _valid_probe_embed32(dim, params):
     return dim == 2 and params["p"] == 1 and params["alpha"] > 0
 
@@ -505,6 +433,14 @@ class InequalitySpec:
 
 def registry() -> tuple[InequalitySpec, ...]:
     """All registered inequalities; ids are unique and stable."""
+    simple_base = "Mix(0;Leb({r});Leb({p}))"
+    strong_base = "Mix(0;Leb({r});Lor({p},{nu}))"
+    embed1 = Sides(((_besov_sum, "{s}", "{p}", "Lor({q},{p})"),), ((_deriv_norms, "{p}"),))
+    embed32 = Sides(((_besov_sum, "{alpha}", "{p}", "Mix(0;Leb({p});Lor({q},{p}))"),),
+                    ((_deriv_norms, "{p}"),))
+    hardy_refined = Sides(((_besov_sum, "{alpha}", "1.0", "Mix(0;Leb(1.0);Lor({q},1.0))"),),
+                          ((_h1_sum,),))
+    obertype = Sides(((_shells, 2),), ((_grad, "1.0"),))
     entries = [
         InequalitySpec(
             "hardy", "assert",
@@ -534,34 +470,36 @@ def registry() -> tuple[InequalitySpec, ...]:
         InequalitySpec(
             "sob1", "report",
             "critical Lebesgue norm vs. gradient norm",
-            (2,), {2: {"p": 1.0, "pstar": 2.0}}, _eval_sob1,
+            (2,), {2: {"p": 1.0, "pstar": 2.0}},
+            Sides(((_norm, "Leb({pstar})"),), ((_grad, "{p}"),)),
             valid=_valid_sobolev),
         InequalitySpec(
             "embed0", "report",
             "critical Lorentz norm vs. gradient norm",
-            (2,), {2: {"p": 1.0, "pstar": 2.0}}, _eval_embed0,
+            (2,), {2: {"p": 1.0, "pstar": 2.0}},
+            Sides(((_norm, "Lor({pstar},{p})"),), ((_grad, "{p}"),)),
             valid=_valid_sobolev, dilation_sweep=True),
         InequalitySpec(
             "embed1", "report",
             "directional Lorentz-norm smoothness integrals vs. derivative norms",
             (1, 2), {1: {"p": 2.0, "q": 4.0, "s": 0.75},
-                     2: {"p": 1.0, "q": 1.5, "s": 1.0 / 3.0}}, _eval_embed1,
+                     2: {"p": 1.0, "q": 1.5, "s": 1.0 / 3.0}}, embed1,
             valid=_valid_embed1, dilation_sweep=True),
         InequalitySpec(
             "embed32", "report",
             "directional mixed-norm smoothness integrals vs. derivative norms",
             (2, 3), {2: {"p": 1.5, "q": 2.5, "alpha": 1.0 - 1.0 / 1.5 + 1.0 / 2.5},
-                     3: {"p": 1.0, "q": 1.5, "alpha": 1.0 / 3.0}}, _eval_embed32,
+                     3: {"p": 1.0, "q": 1.5, "alpha": 1.0 / 3.0}}, embed32,
             valid=_valid_embed32, dilation_sweep=True),
         InequalitySpec(
             "embed321", "report",
             "mixed-norm first-difference integrals vs. Riesz-augmented derivative norms",
-            (2,), {2: {"q": 2.0, "alpha": 0.5}}, _eval_hardy_refined,
+            (2,), {2: {"q": 2.0, "alpha": 0.5}}, hardy_refined,
             valid=_valid_hardy_refined),
         InequalitySpec(
             "hardy1", "report",
             "mixed-norm first-difference integrals vs. Riesz-augmented derivative norms",
-            (2,), {2: {"q": 3.0, "alpha": 1.0 / 3.0}}, _eval_hardy_refined,
+            (2,), {2: {"q": 3.0, "alpha": 1.0 / 3.0}}, hardy_refined,
             valid=_valid_hardy_refined),
         InequalitySpec(
             "Ulyanov2", "report",
@@ -577,102 +515,108 @@ def registry() -> tuple[InequalitySpec, ...]:
             "diff", "report",
             "smoothness-graded norm embedding across Lebesgue exponents",
             (1,), {1: {"p": 1.0, "q": 2.0, "theta": 2.0, "alpha": 0.75,
-                       "beta": 0.25}}, _eval_diff,
+                       "beta": 0.25}},
+            Sides(((_norm, "Leb({q})"), (_besov_sum, "{beta}", "{theta}", "Leb({q})")),
+                  ((_norm, "Leb({p})"), (_besov_sum, "{alpha}", "{theta}", "Leb({p})"))),
             valid=_valid_diff),
         InequalitySpec(
             "equivalence", "report",
             "modulus-built vs. difference-built smoothness integrals (ratio >= 1)",
             (2,), {2: {"alpha": 0.5, "theta": 2.0, "base": "Leb(2)"}},
-            _eval_equivalence),
+            Sides(((_besov, "{alpha}", "{theta}", "{base}", True, True),),
+                  ((_besov, "{alpha}", "{theta}", "{base}", False, True),))),
         InequalitySpec(
             "simple1", "report",
             "plain norm vs. modulus-graded mixed-norm class norm",
             (2,), {2: {"r": 1.0, "p": 2.0, "theta": 2.0, "alpha": 0.75}},
-            _eval_simple1, valid=_valid_simple),
+            Sides(((_norm, "Leb({p})"),),
+                  ((_norm, simple_base), (_besov, "{alpha}", "{theta}", simple_base, True))),
+            valid=_valid_simple),
         InequalitySpec(
             "simple2", "report",
             "difference-norm integrals: plain target vs. mixed-norm source",
             (2,), {2: {"r": 1.0, "p": 2.0, "theta": 2.0, "alpha": 0.75,
-                       "beta": 0.25}}, _eval_simple2,
+                       "beta": 0.25}},
+            Sides(((_besov, "{beta}", "{theta}", "Leb({p})", False, True),),
+                  ((_besov, "{alpha}", "{theta}", simple_base, False, True),)),
             valid=_valid_simple),
         InequalitySpec(
             "strong1", "report",
             "Lorentz norm vs. modulus-graded Lorentz-over-Lebesgue class norm",
             (2,), {2: {"r": 1.0, "p": 2.0, "nu": 1.5, "theta": 2.0,
-                       "alpha": 0.75}}, _eval_strong1,
+                       "alpha": 0.75}},
+            Sides(((_norm, "Lor({p},{nu})"),),
+                  ((_norm, strong_base), (_besov, "{alpha}", "{theta}", strong_base, True))),
             valid=_valid_strong),
         InequalitySpec(
             "strong10", "report",
             "difference-norm integrals: Lorentz target vs. mixed source",
             (2,), {2: {"r": 1.0, "p": 2.0, "nu": 1.5, "theta": 2.0,
-                       "alpha": 0.75, "beta": 0.25}}, _eval_strong10,
+                       "alpha": 0.75, "beta": 0.25}},
+            Sides(((_besov, "{beta}", "{theta}", "Lor({p},{nu})", False, True),),
+                  ((_besov, "{alpha}", "{theta}", strong_base, False, True),)),
             valid=_valid_strong),
         InequalitySpec(
             "const1", "report",
             "Lorentz norm vs. iterated-rearrangement norm (nu <= p)",
-            (2,), {2: {"p": 2.0, "nu": 1.0}}, _eval_const1,
+            (2,), {2: {"p": 2.0, "nu": 1.0}},
+            Sides(((_norm, "Lor({p},{nu})"),), ((_norm, "IterLor({p},{nu})"),)),
             valid=_valid_const1),
         InequalitySpec(
             "const2", "report",
             "iterated-rearrangement norm vs. Lorentz norm (p <= nu)",
-            (2,), {2: {"p": 2.0, "nu": 3.0}}, _eval_const2,
+            (2,), {2: {"p": 2.0, "nu": 3.0}},
+            Sides(((_norm, "IterLor({p},{nu})"),), ((_norm, "Lor({p},{nu})"),)),
             valid=_valid_const2),
         InequalitySpec(
             "H_ineq", "report",
             "spectrum weighted by |xi|^(-n) vs. Riesz-augmented L1 norm",
-            (2, 3), {2: {}, 3: {}}, _eval_h_ineq,
-            valid=_valid_dim2plus),
+            (2, 3), {2: {}, 3: {}}, Sides(((_weighted, 0, 0),), ((_h1, 0),))),
         InequalitySpec(
             "pelcz", "report",
             "spectrum weighted by |xi|^(1-n) vs. gradient L1 norm",
-            (2, 3), {2: {}, 3: {}}, _eval_pelcz,
-            valid=_valid_dim2plus),
+            (2, 3), {2: {}, 3: {}}, Sides(((_weighted, 1),), ((_grad, "1.0"),))),
         InequalitySpec(
             "pelcz1", "report",
             "derivative spectra weighted by |xi|^(-n) vs. derivative L1 norms",
-            (2, 3), {2: {}, 3: {}}, _eval_pelcz1,
-            valid=_valid_dim2plus),
+            (2, 3), {2: {}, 3: {}},
+            Sides(((_weighted_sum, 0),), ((_deriv_norms, "1.0"),))),
         InequalitySpec(
             "oberlin", "report",
             "dyadic shell sums of a mean-zero spectrum vs. Riesz-augmented L1 norm",
-            (2,), {2: {}}, _eval_oberlin,
-            valid=_valid_dim2plus),
+            (2,), {2: {}}, Sides(((_shells, 1, 0),), ((_h1, 0),))),
         InequalitySpec(
             "sup111", "report",
             "integrated running averages of slab sups vs. gradient L1 norm",
-            (3,), {3: {}}, _eval_sup_integral,
-            valid=_valid_dim3plus),
+            (3,), {3: {}}, Sides(((_slab_sups,),), ((_grad, "1.0"),))),
         InequalitySpec(
             "supH", "report",
             "integrated running averages of slab sups vs. Riesz-augmented norms",
-            (2,), {2: {}}, _eval_sup_integral_h1,
-            valid=_valid_dim2plus),
+            (2,), {2: {}}, Sides(((_slab_sups,),), ((_h1_sum,),))),
         InequalitySpec(
             "obertype1", "report",
             "weighted dyadic shell sums of the spectrum vs. gradient L1 norm",
-            (3,), {3: {}}, _eval_obertype1,
-            valid=_valid_dim3plus),
+            (3,), {3: {}}, obertype),
         InequalitySpec(
             "obertype33", "report",
             "cube-face shell sums of the spectrum vs. gradient L1 norm",
-            (3,), {3: {}}, _eval_obertype33,
-            valid=_valid_dim3plus),
+            (3,), {3: {}}, Sides(((_cube_shells,),), ((_grad, "1.0"),))),
         InequalitySpec(
             "embed1_vs_embed32", "report",
             "plain-norm smoothness integrals vs. their mixed-norm refinement",
             (2,), {2: {"p": 1.5, "q": 2.0, "s": 1.0 - 2.0 * (1 / 1.5 - 0.5),
-                       "alpha": 1.0 - (1 / 1.5 - 0.5)}}, _eval_embed_compare,
+                       "alpha": 1.0 - (1 / 1.5 - 0.5)}},
+            Sides(embed1.lhs, embed32.lhs),
             valid=_valid_compare),
         InequalitySpec(
             "embed32_n2_p1", "probe",
             "mixed-norm smoothness integrals at the open parameter corner",
-            (2,), {2: {"p": 1.0, "q": 1.5, "alpha": 2.0 / 3.0}}, _eval_embed32,
+            (2,), {2: {"p": 1.0, "q": 1.5, "alpha": 2.0 / 3.0}}, embed32,
             valid=_valid_probe_embed32),
         InequalitySpec(
             "obertype_n2", "probe",
             "unweighted dyadic shell sums at the open dimension",
-            (2,), {2: {}}, _eval_obertype1,
-            valid=_valid_dim2plus),
+            (2,), {2: {}}, obertype),
     ]
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
@@ -728,10 +672,6 @@ class InequalityReport:
         return d
 
 
-def _json_float(x) -> float:
-    return float(x)
-
-
 def _log2_ratio(a: float, b: float) -> float:
     if a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b):
         return math.log2(a / b)
@@ -776,20 +716,20 @@ def _evaluate_member(task):
     for spec, ((lc, rc), tc), ((lf, rf), tf) in zip(specs, coarse, refined):
         row = {
             "member": index, "family": fam.family,
-            "lhs_coarse": _json_float(lc), "rhs_coarse": _json_float(rc),
-            "lhs_fine": _json_float(lf), "rhs_fine": _json_float(rf),
-            "ratio_coarse": _json_float(empirical_ratio(lc, rc)),
-            "ratio_fine": _json_float(empirical_ratio(lf, rf)),
-            "lhs_refinement": _json_float(empirical_ratio(lf, lc)),
-            "rhs_refinement": _json_float(empirical_ratio(rf, rc)),
+            "lhs_coarse": float(lc), "rhs_coarse": float(rc),
+            "lhs_fine": float(lf), "rhs_fine": float(rf),
+            "ratio_coarse": float(empirical_ratio(lc, rc)),
+            "ratio_fine": float(empirical_ratio(lf, rf)),
+            "lhs_refinement": float(empirical_ratio(lf, lc)),
+            "rhs_refinement": float(empirical_ratio(rf, rc)),
         }
         seconds = tc + tf
         if spec.dilation_sweep:
             (down, td), (up, tu) = dilated[0.5][spec.id], dilated[2.0][spec.id]
             seconds += td + tu
             row["dilation_values"] = {
-                "0.5": [_json_float(v) for v in down],
-                "2.0": [_json_float(v) for v in up],
+                "0.5": [float(v) for v in down],
+                "2.0": [float(v) for v in up],
             }
             # [down-step, up-step]: log2 slopes over lam in {1/2, 1} and {1, 2}
             row["lhs_scaling_exponents"] = [_log2_ratio(lf, down[0]),
@@ -826,8 +766,10 @@ def run(specs, dim: int, families, coarse_grid: GridSpec,
     member-major: each member is sampled once on the coarse grid and every
     entry runs on that sample, then once on the fine grid, and entries with
     a dilation sweep share one pair of dilated samples.  With jobs > 1 the
-    members are spread over one process pool.  A report's runtime is the
-    time spent in its own entry's evaluator.
+    members are spread over one process pool.  A report's runtime, which
+    report.json leaves out, is the time spent in its own entry's evaluator.
+    A side that entries share is evaluated once per member, so its time
+    falls to the first entry that evaluates it.
     """
     specs = list(specs)
     for spec in specs:
@@ -876,14 +818,14 @@ def _report(spec: InequalitySpec, dim: int, rows: list, runtime: float) -> Inequ
                     continue
                 worst_gap = max(worst_gap, abs(el - er) / max(1.0, abs(er)))
         dilation = {"factors": [0.5, 1.0, 2.0],
-                    "max_exponent_gap": _json_float(worst_gap),
+                    "max_exponent_gap": float(worst_gap),
                     "matched": worst_gap <= DILATION_TOL}
 
     return InequalityReport(
         id=spec.id, dim=dim, kind=spec.kind, params=dict(spec.params[dim]),
         constant=spec.constant, tolerance=spec.tolerance, rows=rows,
-        max_ratio_coarse=_json_float(max_c), max_ratio_fine=_json_float(max_f),
-        empirical_constant=_json_float(max_f), refinement_drift=_json_float(drift),
+        max_ratio_coarse=float(max_c), max_ratio_fine=float(max_f),
+        empirical_constant=float(max_f), refinement_drift=float(drift),
         stable=drift <= DRIFT_GATE, passed=passed, failures=failures,
         dilation=dilation, runtime=runtime)
 
@@ -974,7 +916,7 @@ def probe(question: str, depth: int = 2, families=None, grid=None,
         ratios = [r["ratio_fine"] for r in rows]
         levels.append({
             "level": level,
-            "max_ratio": _json_float(max(ratios, default=0.0)),
+            "max_ratio": float(max(ratios, default=0.0)),
             "rows": rows,
         })
     maxima = [lv["max_ratio"] for lv in levels]

@@ -1,15 +1,20 @@
 """Registry integrity, evaluator invariants, and the report machinery."""
 
 import dataclasses
+import inspect
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from ineqkit.gridfn import (FamilySpec, GridSpec, corpus_generate,
                             sample_member, scale_family)
-from ineqkit import verify
+from ineqkit import fourier, verify
+from ineqkit.norms import (Lebesgue, Lorentz, Mixed, iterated_lorentz_norm,
+                           lorentz_norm, lp_norm, norm, norm_of_values, parse_norm)
+from ineqkit.smoothness import BesovSpec, besov_seminorm
 from ineqkit.verify import (InequalityReport, InequalitySpec, default_families,
                             default_grid, empirical_ratio, escalate_family,
                             probe, registry, registry_map, run, run_all,
@@ -85,12 +90,38 @@ def test_ratio_invariant_under_amplitude_scaling(entry_id, corpus1, corpus2, cor
         empirical_ratio(lhs, rhs), rel=1e-10, abs=1e-300)
 
 
-def test_grad_norm_is_cached_per_p(grid2):
+def test_grad_norm_is_cached_per_p(monkeypatch, grid2):
     member = corpus_generate(SEED, 2, grid2)[1]
     grad = np.sqrt(sum(d.values ** 2 for d in member.derivs))
-    for p in (1.0, 2.0, 1.0, 2.0):
-        direct = (np.sum(grad ** p) * grid2.cell_volume) ** (1.0 / p)
-        assert verify._grad_norm(member, p) == pytest.approx(direct, rel=1e-12)
+    specs = []
+    real = verify.norm_of_values
+
+    def counting(values, grid, spec):
+        specs.append(spec)
+        return real(values, grid, spec)
+
+    monkeypatch.setattr(verify, "norm_of_values", counting)
+    for p in ("1.0", "2.0", "1.0", "2.0"):
+        direct = (np.sum(grad ** float(p)) * grid2.cell_volume) ** (1.0 / float(p))
+        assert verify._value(member, verify._grad, p) == pytest.approx(direct, rel=1e-12)
+    assert specs == [Lebesgue(1.0), Lebesgue(2.0)]
+
+
+def test_shared_h1_norms_are_evaluated_once_per_member(monkeypatch):
+    # every one of these entries reads h1_norm of the derivatives of f
+    calls = []
+    real = fourier.h1_norm
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(fourier, "h1_norm", counting)
+    grid = GridSpec.box(2, 4.0, 16)
+    families = [m.family for m in corpus_generate(SEED, 2, grid)]
+    ids = ("H_ineq", "oberlin", "embed321", "hardy1", "supH")
+    run([registry_map()[i] for i in ids], 2, families, grid)
+    assert len(calls) == 2 * 2 * 2  # members x grids x derivatives
 
 
 def test_zero_function_passes_assert_entries(grid1):
@@ -133,17 +164,22 @@ def test_run_evaluates_the_specs_it_is_given(jobs):
     grid = GridSpec.box(1, 8.0, 128)
     members = corpus_generate(SEED, 3, grid)
     bound = registry_map()["bound"]
+    embed1 = {"p": 2.0, "q": 3.0, "s": 1.0 - (1 / 2.0 - 1 / 3.0)}
     specs = [dataclasses.replace(bound, params={1: {"p": 3.0}}),
-             dataclasses.replace(bound, id="custom")]
+             dataclasses.replace(bound, id="custom"),
+             dataclasses.replace(registry_map()["embed1"], dims=(1,), params={1: embed1})]
     reports = run(specs, 1, [m.family for m in members], grid, jobs=jobs)
     assert [(r.id, r.params) for r in reports] == [("bound", {"p": 3.0}),
-                                                   ("custom", {"p": 2.0})]
+                                                   ("custom", {"p": 2.0}),
+                                                   ("embed1", embed1)]
     for spec, rep in zip(specs, reports):
         for row, m in zip(rep.rows, members):
             fine = sample_member(m.family, grid.refine(2))
             for grid_name, member in (("coarse", m), ("fine", fine)):
                 lhs, rhs = spec.evaluate(member, spec.params[1])
                 assert (row[f"lhs_{grid_name}"], row[f"rhs_{grid_name}"]) == (lhs, rhs)
+                if spec.id == "embed1":  # its templates read the replaced params
+                    assert (lhs, rhs) == _eval_embed1(member, embed1)
 
 
 def test_run_is_deterministic_and_pool_safe():
@@ -269,3 +305,231 @@ def test_probe_rejects_non_probe_ids():
         probe("bound")
     with pytest.raises(ValueError):
         probe("no_such_question")
+
+
+# -- sides against the evaluators they replaced --------------------------------
+# The per-entry evaluators as they stood before the registry sides became sums
+# of shared functionals.  Every side must reproduce them bit for bit.
+
+
+def _grad_norm(member, p):
+    g = np.sqrt(sum(d.values ** 2 for d in member.derivs))
+    return norm_of_values(g, member.grid, Lebesgue(p))
+
+
+def _besov_axis_sum(member, alpha, theta, base_for_axis):
+    total = 0.0
+    for k in range(member.dim):
+        spec = BesovSpec(alpha, theta, k, base_for_axis(k))
+        total += besov_seminorm(member.f, spec, deriv=member.derivs[k])
+    return total
+
+
+def _eval_sob1(member, params):
+    return lp_norm(member.f, params["pstar"]), _grad_norm(member, params["p"])
+
+
+def _eval_embed0(member, params):
+    lhs = lorentz_norm(member.f, params["pstar"], params["p"])
+    return lhs, _grad_norm(member, params["p"])
+
+
+def _eval_embed1(member, params):
+    p, q, s = params["p"], params["q"], params["s"]
+    lhs = _besov_axis_sum(member, s, p, lambda k: Lorentz(q, p))
+    rhs = sum(lp_norm(d, p) for d in member.derivs)
+    return lhs, rhs
+
+
+def _eval_embed32(member, params):
+    p, q, alpha = params["p"], params["q"], params["alpha"]
+    lhs = _besov_axis_sum(member, alpha, p,
+                          lambda k: Mixed(k, Lebesgue(p), Lorentz(q, p)))
+    rhs = sum(lp_norm(d, p) for d in member.derivs)
+    return lhs, rhs
+
+
+def _eval_hardy_refined(member, params):
+    q, alpha = params["q"], params["alpha"]
+    lhs = _besov_axis_sum(member, alpha, 1.0,
+                          lambda k: Mixed(k, Lebesgue(1.0), Lorentz(q, 1.0)))
+    rhs = sum(fourier.h1_norm(d) for d in member.derivs)
+    return lhs, rhs
+
+
+def _eval_diff(member, params):
+    p, q, theta = params["p"], params["q"], params["theta"]
+    alpha, beta = params["alpha"], params["beta"]
+    lhs = lp_norm(member.f, q) + _besov_axis_sum(member, beta, theta,
+                                                 lambda k: Lebesgue(q))
+    rhs = lp_norm(member.f, p) + _besov_axis_sum(member, alpha, theta,
+                                                 lambda k: Lebesgue(p))
+    return lhs, rhs
+
+
+def _eval_equivalence(member, params):
+    alpha, theta = params["alpha"], params["theta"]
+    base = parse_norm(params["base"])
+    spec_m = BesovSpec(alpha, theta, 0, base, use_modulus=True)
+    spec_d = BesovSpec(alpha, theta, 0, base)
+    lhs = besov_seminorm(member.f, spec_m, deriv=member.derivs[0]) ** theta
+    rhs = besov_seminorm(member.f, spec_d, deriv=member.derivs[0]) ** theta
+    return lhs, rhs
+
+
+def _simple_base(params):
+    return Mixed(0, Lebesgue(params["r"]), Lebesgue(params["p"]))
+
+
+def _eval_simple1(member, params):
+    base = _simple_base(params)
+    spec = BesovSpec(params["alpha"], params["theta"], 0, base, use_modulus=True)
+    rhs = norm(member.f, base) + besov_seminorm(member.f, spec,
+                                                deriv=member.derivs[0])
+    return lp_norm(member.f, params["p"]), rhs
+
+
+def _eval_simple2(member, params):
+    theta = params["theta"]
+    spec_l = BesovSpec(params["beta"], theta, 0, Lebesgue(params["p"]))
+    spec_r = BesovSpec(params["alpha"], theta, 0, _simple_base(params))
+    lhs = besov_seminorm(member.f, spec_l, deriv=member.derivs[0]) ** theta
+    rhs = besov_seminorm(member.f, spec_r, deriv=member.derivs[0]) ** theta
+    return lhs, rhs
+
+
+def _strong_base(params):
+    return Mixed(0, Lebesgue(params["r"]), Lorentz(params["p"], params["nu"]))
+
+
+def _eval_strong1(member, params):
+    base = _strong_base(params)
+    spec = BesovSpec(params["alpha"], params["theta"], 0, base, use_modulus=True)
+    rhs = norm(member.f, base) + besov_seminorm(member.f, spec,
+                                                deriv=member.derivs[0])
+    return lorentz_norm(member.f, params["p"], params["nu"]), rhs
+
+
+def _eval_strong10(member, params):
+    theta = params["theta"]
+    spec_l = BesovSpec(params["beta"], theta, 0,
+                       Lorentz(params["p"], params["nu"]))
+    spec_r = BesovSpec(params["alpha"], theta, 0, _strong_base(params))
+    lhs = besov_seminorm(member.f, spec_l, deriv=member.derivs[0]) ** theta
+    rhs = besov_seminorm(member.f, spec_r, deriv=member.derivs[0]) ** theta
+    return lhs, rhs
+
+
+def _eval_const1(member, params):
+    p, nu = params["p"], params["nu"]
+    return lorentz_norm(member.f, p, nu), iterated_lorentz_norm(member.f, p, nu)
+
+
+def _eval_const2(member, params):
+    p, nu = params["p"], params["nu"]
+    return iterated_lorentz_norm(member.f, p, nu), lorentz_norm(member.f, p, nu)
+
+
+def _eval_h_ineq(member, params):
+    g = member.derivs[0]
+    F = fourier.transform(g)
+    lhs = fourier.weighted_fourier_integral(F, -member.dim).value
+    return lhs, fourier.h1_norm(g)
+
+
+def _eval_pelcz(member, params):
+    F = fourier.transform(member.f)
+    lhs = fourier.weighted_fourier_integral(F, 1 - member.dim).value
+    return lhs, _grad_norm(member, 1.0)
+
+
+def _eval_pelcz1(member, params):
+    lhs = 0.0
+    for d in member.derivs:
+        lhs += fourier.weighted_fourier_integral(fourier.transform(d),
+                                                 -member.dim).value
+    rhs = sum(lp_norm(d, 1.0) for d in member.derivs)
+    return lhs, rhs
+
+
+def _eval_oberlin(member, params):
+    g = member.derivs[0]
+    F = fourier.transform(g)
+    quad = fourier.ShellQuadrature(member.dim)
+    return fourier.dyadic_shell_sum(F, 1 - member.dim, quad), fourier.h1_norm(g)
+
+
+def _eval_sup_integral(member, params):
+    F = fourier.transform(member.f)
+    lhs = sum(fourier.sup_integral_functional(F, j) for j in range(member.dim))
+    return lhs, _grad_norm(member, 1.0)
+
+
+def _eval_sup_integral_h1(member, params):
+    F = fourier.transform(member.f)
+    lhs = sum(fourier.sup_integral_functional(F, j) for j in range(member.dim))
+    return lhs, sum(fourier.h1_norm(d) for d in member.derivs)
+
+
+def _eval_obertype1(member, params):
+    F = fourier.transform(member.f)
+    quad = fourier.ShellQuadrature(member.dim)
+    return fourier.dyadic_shell_sum(F, 2 - member.dim, quad), _grad_norm(member, 1.0)
+
+
+def _eval_obertype33(member, params):
+    F = fourier.transform(member.f)
+    return fourier.cube_shell_sum(F), _grad_norm(member, 1.0)
+
+
+def _eval_embed_compare(member, params):
+    lhs = _eval_embed1(member, params)[0]
+    rhs = _eval_embed32(member, params)[0]
+    return lhs, rhs
+
+
+REFERENCE = {
+    "sob1": _eval_sob1, "embed0": _eval_embed0, "embed1": _eval_embed1,
+    "embed32": _eval_embed32, "embed321": _eval_hardy_refined,
+    "hardy1": _eval_hardy_refined, "diff": _eval_diff,
+    "equivalence": _eval_equivalence, "simple1": _eval_simple1,
+    "simple2": _eval_simple2, "strong1": _eval_strong1, "strong10": _eval_strong10,
+    "const1": _eval_const1, "const2": _eval_const2, "H_ineq": _eval_h_ineq,
+    "pelcz": _eval_pelcz, "pelcz1": _eval_pelcz1, "oberlin": _eval_oberlin,
+    "sup111": _eval_sup_integral, "supH": _eval_sup_integral_h1,
+    "obertype1": _eval_obertype1, "obertype33": _eval_obertype33,
+    "embed1_vs_embed32": _eval_embed_compare, "embed32_n2_p1": _eval_embed32,
+    "obertype_n2": _eval_obertype1,
+}
+# one member of each of the six families, on grids small enough to run every side
+ORACLE_GRIDS = {1: GridSpec.box(1, 8.0, 32), 2: GridSpec.box(2, 4.0, 16),
+                3: GridSpec.box(3, 4.0, 8)}
+SIDES_CASES = [(e.id, d) for e in registry() if isinstance(e.evaluate, verify.Sides)
+               for d in e.dims]
+
+
+def test_every_sides_entry_has_a_reference():
+    assert {i for i, _ in SIDES_CASES} == set(REFERENCE)
+
+
+@pytest.mark.parametrize("entry_id,dim", SIDES_CASES)
+def test_sides_equal_the_evaluators_they_replaced(entry_id, dim):
+    entry = registry_map()[entry_id]
+    params = entry.params[dim]
+    members = corpus_generate(SEED, 6, ORACLE_GRIDS[dim])
+    assert len({m.family.family for m in members}) == 6
+    for member in members:
+        assert entry.evaluate(member, params) == REFERENCE[entry_id](member, params)
+
+
+def test_registry_pickles_and_names_only_private_functionals():
+    # a tracer wraps public functions after the registry is built, so a term
+    # that held one would bypass the wrapper
+    entries = registry()
+    assert pickle.loads(pickle.dumps(entries)) == entries
+    for entry in entries:
+        if isinstance(entry.evaluate, verify.Sides):
+            for functional, *_ in entry.evaluate.lhs + entry.evaluate.rhs:
+                assert inspect.isfunction(functional)
+                assert functional.__name__.startswith("_")
+                assert functional.__module__ == "ineqkit.verify"
