@@ -341,10 +341,14 @@ def _mollified_cone_field(fam: FamilySpec, coords, axes):
     r2 = 0.0
     for x, c in zip(coords, fam.center):
         r2 = r2 + (x - c) ** 2
+    # r2 and rho go as soon as they are used: on a 64^3 grid this sample
+    # sets the peak memory of a spectral_3d or verify_all pass
     root = np.sqrt(r2 + eps * eps)
+    del r2
     rho = root - eps
     q = 1.0 - rho / R
     v = (R - rho) / m
+    del rho
     step = _smoothstep(v)
     # d/dx_k of amplitude * q * step(v) is this radial factor times drho/dx_k
     radial = fam.amplitude * (-step / R - q * _smoothstep_dv(v) / m)
