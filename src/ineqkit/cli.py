@@ -37,8 +37,13 @@ def _parse_grid_text(text: str):
 
 
 def _apply_config(args, parser):
-    """Fill unset (None) options from --config; explicit flags override."""
-    if not getattr(args, "config", None):
+    """Fill unset (None) options from --config; explicit flags override.
+
+    Each key names a long flag of the subcommand, and its value is parsed
+    as that flag's argument: a bad key or value exits 2 as the flag would.
+    A null value leaves the option unset.
+    """
+    if not args.config:
         return
     try:
         with open(args.config) as fh:
@@ -47,9 +52,10 @@ def _apply_config(args, parser):
         parser.error(f"cannot read config {args.config}: {exc}")
     if not isinstance(loaded, dict):
         parser.error(f"config {args.config} must hold a JSON object")
-    for key, value in loaded.items():
-        dest = key.replace("-", "_")
-        if hasattr(args, dest) and getattr(args, dest) is None:
+    given = args.leaf.parse_args(
+        [f"--{key}={value}" for key, value in loaded.items() if value is not None])
+    for dest, value in vars(given).items():
+        if getattr(args, dest) is None:
             setattr(args, dest, value)
 
 
@@ -58,46 +64,49 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ineqkit", description="inequality corpus runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_leaf(parent, name, help):
+        p = parent.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file mirroring the flags")
+        p.set_defaults(leaf=p)  # _apply_config parses the config with it
+        return p
+
+    def add_jobs(p):
         p.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: all cores)")
 
     corpus = sub.add_parser("corpus", help="corpus files")
     corpus_sub = corpus.add_subparsers(dest="subcommand", required=True)
-    gen = corpus_sub.add_parser("gen", help="write a corpus identity file")
+    gen = add_leaf(corpus_sub, "gen", "write a corpus identity file")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--count", type=int, default=None)
     gen.add_argument("--dim", type=int, default=None, choices=(1, 2, 3))
     gen.add_argument("--grid", type=str, default=None, metavar="L,POINTS")
     gen.add_argument("--out", default=None)
-    gen.add_argument("--config", help="JSON file mirroring the flags")
 
     ver = sub.add_parser("verify", help="registry runs")
     ver_sub = ver.add_subparsers(dest="subcommand", required=True)
-    run_p = ver_sub.add_parser("run", help="one registry entry")
+    run_p = add_leaf(ver_sub, "run", "one registry entry")
     run_p.add_argument("--id", dest="entry_id", default=None, metavar="ID")
     run_p.add_argument("--corpus", default=None)
     run_p.add_argument("--out", default=None)
-    add_common(run_p)
-    all_p = ver_sub.add_parser("all", help="every registry entry")
+    add_jobs(run_p)
+    all_p = add_leaf(ver_sub, "all", "every registry entry")
     all_p.add_argument("--corpus", default=None)
     all_p.add_argument("--out", default=None)
-    add_common(all_p)
+    add_jobs(all_p)
 
-    probe_p = sub.add_parser("probe", help="open-question escalation sweep")
+    probe_p = add_leaf(sub, "probe", "open-question escalation sweep")
     probe_p.add_argument("--question", default=None)
     probe_p.add_argument("--depth", type=int, default=None)
     probe_p.add_argument("--out", default=None)
-    add_common(probe_p)
+    add_jobs(probe_p)
 
     rep = sub.add_parser("report", help="report rendering")
     rep_sub = rep.add_subparsers(dest="subcommand", required=True)
-    rend = rep_sub.add_parser("render", help="render report.json")
+    rend = add_leaf(rep_sub, "render", "render report.json")
     rend.add_argument("--in", dest="in_dir", default=None, metavar="DIR")
     rend.add_argument("--format", dest="fmt", default=None,
                       choices=("csv", "svg"))
-    rend.add_argument("--config", help="JSON file mirroring the flags")
 
     return parser
 

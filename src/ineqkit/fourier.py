@@ -25,9 +25,12 @@ conjugate reflection, and its Riesz transform multiplies the half spectrum
 and runs irfftn; neither makes a rolled copy, since rolling an axis by N/2
 multiplies the spectrum by (-1)^k.  Also moves the last bits: weighted_fourier_integral folds
 |F| onto the offsets |k - N/2| before it weights and sums, and the sphere
-and dyadic-shell functionals read one multilinear operator per dual grid
-and rule, which merges equal cells and folds antipodal points (below 1e-13
-relative).  Tables shared between calls are read-only and bounded by the
+and dyadic-shell functionals read one multilinear operator per dual grid,
+which merges equal cells and folds antipodal points (below 1e-13
+relative).  Their sampling rules are fixed module constants: 16 radii per
+dyadic shell, 64 trapezoid points on the circle, 24 Gauss-Legendre x 48
+azimuth points on the sphere, and 64 thresholds for the slab-sup
+integral.  Tables shared between calls are read-only and bounded by the
 size of their cache: the radial weights (287 KB on a 64^3 grid) and the
 shell operators (1.2 MB on a 64^3 grid, 0.5 MB on a 32^3 grid).  No
 full-grid array is kept from one call to the next.
@@ -40,7 +43,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 import scipy.fft
@@ -63,7 +66,6 @@ __all__ = [
     "cone_derivative_check",
     "slab_sup",
     "sup_integral_functional",
-    "ShellQuadrature",
     "sphere_integral",
     "dyadic_shell_terms",
     "dyadic_shell_sum",
@@ -73,6 +75,13 @@ __all__ = [
 ]
 
 MEAN_TOL = 1e-8
+
+# The spectral sampling rules of the slab-sup integral and the shell sums.
+_SLAB_LEVELS = 64  # geometric thresholds t of sup_integral_functional
+_SHELL_RADII = 16  # geometric radii per dyadic shell
+_CIRCLE_POINTS = 64  # trapezoid angles on the circle
+_POLAR_POINTS = 24  # Gauss-Legendre nodes in the cosine of the polar angle
+_AZIMUTH_POINTS = 48  # trapezoid azimuths per polar node
 
 
 def dual_grid(spec: GridSpec) -> GridSpec:
@@ -504,8 +513,7 @@ def _slab_double_stars(F: SpectralFunction, axis, ts, measures) -> np.ndarray:
     return out
 
 
-def sup_integral_functional(f: Union[GridFunction, SpectralFunction], axis,
-                            levels=64) -> float:
+def sup_integral_functional(f: Union[GridFunction, SpectralFunction], axis) -> float:
     """Integral over t > 0 of the running average, at t^(n-1), of the slab sup.
 
     The slab sup at threshold t is rearranged over its (n-1)-dimensional
@@ -514,72 +522,48 @@ def sup_integral_functional(f: Union[GridFunction, SpectralFunction], axis,
     integrand tends to a finite limit) and drops t beyond the frequency
     extent, where the sup vanishes.
 
-    The slabs of the levels thresholds are nested, so the sups come from one
-    running max over the planes in order of decreasing |xi_axis|, and each
-    distinct set of planes is rearranged once (thresholds below one
+    The slabs of the _SLAB_LEVELS thresholds are nested, so the sups come
+    from one running max over the planes in order of decreasing |xi_axis|,
+    and each distinct set of planes is rearranged once (thresholds below one
     frequency cell all select the same planes).  The values equal the
     per-threshold slab_sup / decreasing_rearrangement / double_star route
     bit for bit.
     """
     F = transform(f) if isinstance(f, GridFunction) else f
     _check_slab_axis(F.spec, axis)
-    if levels < 2:
-        raise ValueError(f"levels must be at least 2, got {levels}")
     n = F.spec.dim
     t_hi = F.spec.half_extents[axis]
     t_lo = F.spec.spacing[axis] / 256.0
-    ts = np.geomspace(t_lo, t_hi, levels)
+    ts = np.geomspace(t_lo, t_hi, _SLAB_LEVELS)
     vals = _slab_double_stars(F, axis, ts, [t ** (n - 1) for t in ts])
     total = vals[0] * t_lo
-    for i in range(levels - 1):
+    for i in range(_SLAB_LEVELS - 1):
         total += segment_integral(ts[i], ts[i + 1], vals[i], vals[i + 1])
     return float(total)
 
 
-@dataclass(frozen=True)
-class ShellQuadrature:
-    """Angular x radial sampling rule for sphere integrals of a spectrum.
+@functools.lru_cache(maxsize=2)
+def _sphere_rule(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit directions, weights summing to the unit-sphere measure, and the index of each antipode.
 
-    dim 2 uses a trapezoid rule with angular_count points on the circle; dim
-    3 a latitude-longitude product rule, Gauss-Legendre in the cosine of the
-    polar angle (polar_count) times trapezoid in azimuth (azimuth_count).
-    Weights sum to the exact unit-sphere measure.  radial_count is the number
-    of sample radii per dyadic shell.
+    dim 2 uses the trapezoid rule on the circle, where the angle 2 pi k / a
+    pairs with k + a/2.  dim 3 uses a latitude-longitude product rule,
+    Gauss-Legendre in the cosine of the polar angle times trapezoid in
+    azimuth; a node pairs with the mirrored Gauss-Legendre node (numpy's
+    nodes and weights are exactly symmetric) at the opposite azimuth.  The
+    counts are even, so every direction has its antipode, at equal weight.
+    Computed once per dimension and shared between calls, so the arrays
+    are read-only.
     """
-
-    dim: int
-    radial_count: int = 16
-    angular_count: int = 64
-    polar_count: int = 24
-    azimuth_count: int = 48
-
-    def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        counts = [self.radial_count, self.angular_count] if self.dim == 2 else \
-            [self.radial_count, self.polar_count, self.azimuth_count]
-        if any(c < 8 for c in counts):
-            raise ValueError("all sample counts must be at least 8")
-
-    def directions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit vectors and weights summing to the unit-sphere measure.
-
-        Computed once per distinct rule and shared between calls, so the
-        arrays are read-only.
-        """
-        return _sphere_rule(self)
-
-
-@functools.lru_cache(maxsize=16)
-def _sphere_rule(quad: ShellQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    if quad.dim == 2:
-        a = quad.angular_count
+    if dim == 2:
+        a = _CIRCLE_POINTS
         phi = 2.0 * np.pi * np.arange(a) / a
         dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
         w = np.full(a, 2.0 * np.pi / a)
-    else:
-        x, wx = np.polynomial.legendre.leggauss(quad.polar_count)
-        a = quad.azimuth_count
+        anti = (np.arange(a) + a // 2) % a
+    elif dim == 3:
+        x, wx = np.polynomial.legendre.leggauss(_POLAR_POINTS)
+        a = _AZIMUTH_POINTS
         phi = 2.0 * np.pi * np.arange(a) / a
         sin_th = np.sqrt(1.0 - x ** 2)
         dirs = np.stack([
@@ -588,26 +572,13 @@ def _sphere_rule(quad: ShellQuadrature) -> tuple[np.ndarray, np.ndarray]:
             np.repeat(x, a),
         ], axis=1)
         w = np.repeat(wx, a) * (2.0 * np.pi / a)
-    dirs.setflags(write=False)
-    w.setflags(write=False)
-    return dirs, w
-
-
-def _antipodes(quad: ShellQuadrature) -> Optional[np.ndarray]:
-    """Index of the direction -d for each direction d of the rule; None when there are none.
-
-    The circle's angle 2 pi k / a pairs with k + a/2, and a sphere node pairs
-    with the mirrored Gauss-Legendre node (numpy's nodes and weights are
-    exactly symmetric) at the opposite azimuth.  An odd angular or azimuth
-    count leaves every direction unpaired.
-    """
-    a = quad.angular_count if quad.dim == 2 else quad.azimuth_count
-    if a % 2:
-        return None
-    if quad.dim == 2:
-        return (np.arange(a) + a // 2) % a
-    polar, k = np.divmod(np.arange(quad.polar_count * a), a)
-    return (quad.polar_count - 1 - polar) * a + (k + a // 2) % a
+        polar, k = np.divmod(np.arange(_POLAR_POINTS * a), a)
+        anti = (_POLAR_POINTS - 1 - polar) * a + (k + a // 2) % a
+    else:
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    for arr in (dirs, w, anti):
+        arr.setflags(write=False)
+    return dirs, w, anti
 
 
 class _ShellRows(NamedTuple):
@@ -652,8 +623,8 @@ def _corner_terms(base, flipped, t, strides, w):
     return cells, weights
 
 
-def _sphere_rows(spec: GridSpec, quad: ShellQuadrature, radii: np.ndarray) -> _ShellRows:
-    """The multilinear rule of quad on the sphere of each radius, one read-only row per radius.
+def _sphere_rows(spec: GridSpec, radii: np.ndarray) -> _ShellRows:
+    """The multilinear sphere rule (_sphere_rule) at each radius, one read-only row per radius.
 
     A point counts 0 unless it lies in [0, N - 1] on every axis, as
     map_coordinates(order=1, mode="constant") counts it.  The point -r d has
@@ -662,20 +633,19 @@ def _sphere_rows(spec: GridSpec, quad: ShellQuadrature, radii: np.ndarray) -> _S
     points both lie in [1, N - 1] on every axis is therefore one point on
     s[j] = |F|[j] + |F|[N - j], stored for the half of the reflection pairs
     with 1 <= j_last <= N_last/2: a point with c_last > N/2 takes the
-    reflected corners.  Edge pairs and unpaired directions stay on |F|.
+    reflected corners.  Edge pairs stay on |F|.
     Equal cells of a row are merged, so a row equals the pointwise rule in
     exact arithmetic and moves in the last bits.  The rows are built 8 radii
     at a time, which bounds the scratch memory.
     """
-    if quad.dim != spec.dim:
-        raise ValueError("quadrature dimension does not match the grid")
+    _sphere_rule(spec.dim)  # rejects a grid without a sphere rule
     for r in radii:
         if not 0 < r <= min(spec.half_extents):
             raise ValueError(f"radius {r} outside the frequency extent")
     span = math.prod(spec.shape) + math.prod(_folded_shape(spec.shape))
     keys, weights, folded = [np.empty(0, dtype=np.int64)], [np.empty(0)], False
     for i in range(0, len(radii), 8):
-        block = _row_block(spec, quad, radii[i:i + 8], i * span)
+        block = _row_block(spec, radii[i:i + 8], i * span)
         keys.append(block[0])
         weights.append(block[1])
         folded |= block[2]
@@ -689,9 +659,9 @@ def _sphere_rows(spec: GridSpec, quad: ShellQuadrature, radii: np.ndarray) -> _S
     return out
 
 
-def _row_block(spec: GridSpec, quad: ShellQuadrature, radii: np.ndarray, key0: int):
+def _row_block(spec: GridSpec, radii: np.ndarray, key0: int):
     """Sorted keys key0 + row * span + cell, their merged weights, and whether any pair folded."""
-    dirs, w = quad.directions()
+    dirs, w, anti = _sphere_rule(spec.dim)
     col = (slice(None), None, None)
     # coords[ax, i, p] of the point radii[i] * dirs[p], in grid units
     coords = radii[None, :, None] * dirs.T[:, None, :]
@@ -699,12 +669,9 @@ def _row_block(spec: GridSpec, quad: ShellQuadrature, radii: np.ndarray, key0: i
     coords /= np.array(spec.spacing)[col]
     top = functools.reduce(np.logical_and, coords <= np.array(spec.shape)[col] - 1)
     inside = top & functools.reduce(np.logical_and, coords >= 0)
-    pair = first = np.zeros_like(inside)
-    anti = _antipodes(quad)
-    if anti is not None:
-        interior = top & functools.reduce(np.logical_and, coords >= 1)
-        pair = interior & interior[:, anti] & (w == w[anti])
-        first = pair & (np.arange(len(w)) < anti)  # each pair once, at its first direction
+    interior = top & functools.reduce(np.logical_and, coords >= 1)
+    pair = interior & interior[:, anti]
+    first = pair & (np.arange(len(w)) < anti)  # each pair once, at its first direction
     size = math.prod(spec.shape)
     span = size + math.prod(_folded_shape(spec.shape))
     keys, weights = [], []
@@ -757,14 +724,14 @@ def _shell_values(F: SpectralFunction, rows: _ShellRows) -> np.ndarray:
     return np.add.reduceat(terms, rows.starts) * rows.radii ** (F.spec.dim - 1)
 
 
-def sphere_integral(F: SpectralFunction, r, quad: ShellQuadrature) -> float:
+def sphere_integral(F: SpectralFunction, r) -> float:
     """Surface integral of |F| over the sphere of radius r.
 
     Builds the one-row operator of _sphere_rows for r: multilinear in the
     cells, 0 outside the grid, like map_coordinates(order=1,
     mode="constant"), to which it is equal up to the last bits.
     """
-    return float(_shell_values(F, _sphere_rows(F.spec, quad, np.array([r], dtype=float)))[0])
+    return float(_shell_values(F, _sphere_rows(F.spec, np.array([r], dtype=float)))[0])
 
 
 def _shell_range(spec: GridSpec) -> range:
@@ -775,19 +742,18 @@ def _shell_range(spec: GridSpec) -> range:
 
 
 @functools.lru_cache(maxsize=8)
-def _shell_operator(spec: GridSpec, quad: ShellQuadrature) -> _ShellRows:
-    """_sphere_rows at the radial_count radii of every shell of _shell_range(spec).
+def _shell_operator(spec: GridSpec) -> _ShellRows:
+    """_sphere_rows at the _SHELL_RADII radii of every shell of _shell_range(spec).
 
-    Depends only on the dual grid and the rule, so it is built once and
-    shared between calls; its arrays are read-only.  Folded, it takes
-    about 1.2 MB on a 64^3 grid and 0.5 MB on a 32^3 grid with the default
-    rule.
+    Depends only on the dual grid, so it is built once and shared between
+    calls; its arrays are read-only.  Folded, it takes about 1.2 MB on a
+    64^3 grid and 0.5 MB on a 32^3 grid.
     """
-    radii = [np.geomspace(2.0 ** k, 2.0 ** (k + 1), quad.radial_count) for k in _shell_range(spec)]
-    return _sphere_rows(spec, quad, np.concatenate(radii) if radii else np.empty(0))
+    radii = [np.geomspace(2.0 ** k, 2.0 ** (k + 1), _SHELL_RADII) for k in _shell_range(spec)]
+    return _sphere_rows(spec, np.concatenate(radii) if radii else np.empty(0))
 
 
-def dyadic_shell_terms(F: SpectralFunction, quad: ShellQuadrature):
+def dyadic_shell_terms(F: SpectralFunction):
     """(k, sup over sampled r in [2^k, 2^(k+1)] of the sphere integral) pairs.
 
     Covers the dyadic shells the grid resolves: one cell <= 2^k and
@@ -795,19 +761,18 @@ def dyadic_shell_terms(F: SpectralFunction, quad: ShellQuadrature):
     the extent, and infinitely many below one cell, whose sum is not
     completed here.  The top shell's largest radii reach past the last
     positive node (N/2 - 1) h, where the points of a sphere count 0.  All
-    radii are read from one cached operator per (dual grid, rule), so each
+    radii are read from one cached operator per dual grid, so each
     sphere integral equals sphere_integral at that radius up to the last
     bits, and the map_coordinates rule to 1e-13 relative.
     """
     ks = np.array(_shell_range(F.spec))
-    sums = _shell_values(F, _shell_operator(F.spec, quad))
-    return ks, sums.reshape(len(ks), quad.radial_count).max(axis=1, initial=0.0)
+    sums = _shell_values(F, _shell_operator(F.spec))
+    return ks, sums.reshape(len(ks), _SHELL_RADII).max(axis=1, initial=0.0)
 
 
-def dyadic_shell_sum(F: SpectralFunction, weight_exponent: float,
-                     quad: ShellQuadrature) -> float:
+def dyadic_shell_sum(F: SpectralFunction, weight_exponent: float) -> float:
     """Sum over resolvable shells of 2^(k w) times the shell sup."""
-    ks, sups = dyadic_shell_terms(F, quad)
+    ks, sups = dyadic_shell_terms(F)
     return float(np.sum(2.0 ** (ks * weight_exponent) * sups))
 
 

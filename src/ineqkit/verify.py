@@ -276,8 +276,7 @@ def _weighted_sum(member, shift):
 def _shells(member, shift, k=None):
     """Dyadic shell sum at |xi|^(shift - n) for f, or for its derivative along k."""
     F = fourier.transform(member.f if k is None else member.derivs[k])
-    quad = fourier.ShellQuadrature(member.dim)
-    return fourier.dyadic_shell_sum(F, shift - member.dim, quad)
+    return fourier.dyadic_shell_sum(F, shift - member.dim)
 
 
 def _slab_sups(member):

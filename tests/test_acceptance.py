@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ineqkit.fourier import (ShellQuadrature, SpectralFunction,
-                             cone_derivative_check, dual_grid,
+from ineqkit.fourier import (SpectralFunction, cone_derivative_check, dual_grid,
                              dyadic_shell_sum, dyadic_shell_terms,
                              frequency_radii, riesz, transform)
 from ineqkit.gridfn import GridFunction, GridSpec, corpus_generate
@@ -163,12 +162,11 @@ def test_criterion_7_oracle_equivalences():
     # dyadic shell sums against a dense analytic (k, r)-sweep
     dual = dual_grid(GridSpec.box(2, 4.0, 32))
     F = SpectralFunction(dual, np.exp(-frequency_radii(dual) ** 2))
-    quad = ShellQuadrature(2)
-    ks, _ = dyadic_shell_terms(F, quad)
+    ks, _ = dyadic_shell_terms(F)
     dense = sum(2.0 ** (k * -1.0) * np.max(2.0 * np.pi * r * np.exp(-r ** 2))
                 for k in ks
                 for r in [np.geomspace(2.0 ** k, 2.0 ** (k + 1), 400)])
-    shell_err = abs(dyadic_shell_sum(F, -1.0, quad) - dense) / dense
+    shell_err = abs(dyadic_shell_sum(F, -1.0) - dense) / dense
 
     # iterated rearrangement factorizes on product functions
     rng = np.random.default_rng(SEED)

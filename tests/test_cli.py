@@ -69,6 +69,38 @@ def test_config_fills_gaps_and_flags_win(tmp_path):
     assert count == 4
 
 
+def test_config_keys_are_the_long_flags(flow_dir, tmp_path):
+    # --id, --in and --format store to entry_id, in_dir and fmt
+    out = tmp_path / "run"
+    run_conf = tmp_path / "run.json"
+    run_conf.write_text(json.dumps({"id": "bound", "corpus": str(flow_dir / "corpus.json"),
+                                    "out": str(out), "jobs": 1}))
+    assert run_cli("verify", "run", "--config", str(run_conf)) == 0
+    assert [r["id"] for r in load_report(out / "report.json")["reports"]] == ["bound"]
+    render_conf = tmp_path / "render.json"
+    render_conf.write_text(json.dumps({"in": str(out), "format": "csv"}))
+    assert run_cli("report", "render", "--config", str(render_conf)) == 0
+    assert (out / "report.csv").is_file()
+
+
+@pytest.mark.parametrize("argv,config", [
+    (("corpus", "gen", "--out", "x.json"), {"dim": 4}),
+    (("corpus", "gen", "--out", "x.json"), {"dim": 1.0}),
+    (("verify", "run", "--id", "bound", "--out", "out"), {"jobs": "two"}),
+    (("probe", "--question", "bound", "--out", "out"), {"depth": "x"}),
+    (("report", "render", "--format", "csv"), {"in_dir": "."}),
+])
+def test_bad_config_values_exit_2_like_their_flags(tmp_path, monkeypatch, argv, config):
+    # each is rejected while the config is read, before anything runs
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--config", str(path))
+    assert exc.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["conf.json"]
+
+
 def test_usage_errors_exit_2(tmp_path):
     cases = [
         ("corpus", "gen", "--dim", "1", "--count", "0", "--out", "x.json"),

@@ -14,7 +14,7 @@ import scipy.fft
 from scipy.ndimage import map_coordinates
 
 from ineqkit import fourier, verify
-from ineqkit.fourier import (ShellQuadrature, SpectralFunction, ball_maximum,
+from ineqkit.fourier import (SpectralFunction, ball_maximum,
                              cone_derivative_check, cube_shell_sum, dual_grid,
                              dyadic_shell_sum, dyadic_shell_terms,
                              frequency_radii, h1_norm, inverse_transform,
@@ -322,7 +322,6 @@ def test_gaussian_closed_forms_state_the_box_gap(n):
     S = _sphere_measure(n)
     # the integral of |xi_k| over the unit sphere
     omega = 2.0 * math.pi ** ((n - 1) / 2) / math.gamma((n + 1) / 2)
-    quad = ShellQuadrature(n)
     for fam in fams:
         member = sample_member(fam, grid)
         A, w, c = fam.amplitude, fam.width[0], fam.center
@@ -340,7 +339,7 @@ def test_gaussian_closed_forms_state_the_box_gap(n):
             assert np.max(np.abs(got - dk)) <= band["derivative"] * np.max(np.abs(dk))
         for r in (0.25, 0.5, 1.0):
             radial = S * r ** (n - 1) * A * w ** n * math.exp(-math.pi * w * w * r * r)
-            assert sphere_integral(F, r, quad) == pytest.approx(radial, rel=band["sphere"])
+            assert sphere_integral(F, r) == pytest.approx(radial, rel=band["sphere"])
         # pelcz: |xi|^(1 - n) |F| against ||grad f||_1; the continuum ratio is
         # 1 in 2-D and pi/2 in 3-D
         lhs = weighted_fourier_integral(F, 1 - n).value / (A * w ** (n - 1) * S / 2) - 1
@@ -505,25 +504,23 @@ def _naive_slab_double_stars(F, axis, ts, measures):
     return vals
 
 
-def _naive_sup_integral_functional(F, axis, levels=64):
-    """The per-threshold loop that sup_integral_functional replaces."""
+def _naive_sup_integral_functional(F, axis):
+    """The per-threshold loop that sup_integral_functional replaces, at 64 thresholds."""
     n = F.spec.dim
     t_lo = F.spec.spacing[axis] / 256.0
-    ts = np.geomspace(t_lo, F.spec.half_extents[axis], levels)
+    ts = np.geomspace(t_lo, F.spec.half_extents[axis], 64)
     vals = _naive_slab_double_stars(F, axis, ts, [t ** (n - 1) for t in ts])
     total = vals[0] * t_lo
-    for i in range(levels - 1):
+    for i in range(63):
         total += segment_integral(ts[i], ts[i + 1], vals[i], vals[i + 1])
     return float(total)
 
 
-@pytest.mark.parametrize("levels", [64, 7])
-def test_sup_integral_functional_matches_naive_loop(corpus2, corpus3, levels):
+def test_sup_integral_functional_matches_naive_loop(corpus2, corpus3):
     for member in corpus2[:3] + corpus3[:2]:
         F = transform(member.f)
         for axis in range(F.spec.dim):
-            assert (sup_integral_functional(F, axis, levels)
-                    == _naive_sup_integral_functional(F, axis, levels))
+            assert sup_integral_functional(F, axis) == _naive_sup_integral_functional(F, axis)
 
 
 def test_slab_double_stars_repeated_thresholds():
@@ -541,10 +538,8 @@ def test_slab_double_stars_repeated_thresholds():
         got = fourier._slab_double_stars(F, axis, ts, measures)
         assert np.array_equal(got, _naive_slab_double_stars(F, axis, ts, measures))
     assert got[-1] == 0.0 and got[0] > 0.0
-    for levels in (64, 9):
-        for axis in (0, 1):
-            assert (sup_integral_functional(F, axis, levels)
-                    == _naive_sup_integral_functional(F, axis, levels))
+    for axis in (0, 1):
+        assert sup_integral_functional(F, axis) == _naive_sup_integral_functional(F, axis)
 
 
 def test_slab_double_stars_empty_slab_warns_like_slab_sup(corpus2):
@@ -562,7 +557,7 @@ def test_slab_double_stars_empty_slab_warns_like_slab_sup(corpus2):
     assert got[0] == _naive_slab_double_stars(F, 0, [0.5], [1.0])[0]
 
 
-def test_slab_functionals_reject_bad_axis_and_levels(corpus2):
+def test_slab_functionals_reject_bad_axis(corpus2):
     F = transform(corpus2[1].f)
     for axis in (-1, 2, 1.0):
         with pytest.raises(ValueError, match="axis"):
@@ -571,11 +566,7 @@ def test_slab_functionals_reject_bad_axis_and_levels(corpus2):
             slab_sup(F, axis, 0.5)
         with pytest.raises(ValueError, match="axis"):
             sup_integral_functional(F, axis)
-    for levels in (0, 1):
-        with pytest.raises(ValueError, match="levels"):
-            sup_integral_functional(F, 0, levels)
-    assert (sup_integral_functional(F, np.int64(1), 7)
-            == _naive_sup_integral_functional(F, 1, 7))
+    assert sup_integral_functional(F, np.int64(1)) == _naive_sup_integral_functional(F, 1)
 
 
 def radial_spectrum(dim, profile):
@@ -587,26 +578,23 @@ def radial_spectrum(dim, profile):
 def test_sphere_integral_radial_oracle():
     # radial F: the surface integral is |S^1| r * profile(r)
     F = radial_spectrum(2, lambda r: np.exp(-r ** 2))
-    quad = ShellQuadrature(2)
     for r in (0.3, 0.7, 1.4):
         exact = 2.0 * np.pi * r * math.exp(-r ** 2)
-        assert sphere_integral(F, r, quad) == pytest.approx(exact, rel=5e-3)
+        assert sphere_integral(F, r) == pytest.approx(exact, rel=5e-3)
 
 
 def test_sphere_integral_radial_oracle_3d():
     F = radial_spectrum(3, lambda r: np.exp(-r ** 2))
-    quad = ShellQuadrature(3)
     exact = 4.0 * np.pi * 0.8 ** 2 * math.exp(-0.64)
-    assert sphere_integral(F, 0.8, quad) == pytest.approx(exact, rel=5e-3)
+    assert sphere_integral(F, 0.8) == pytest.approx(exact, rel=5e-3)
 
 
 def test_dyadic_shell_sum_vs_dense_sweep():
     # dense analytic (k, r)-sweep on a radial synthetic spectrum
     F = radial_spectrum(2, lambda r: np.exp(-r ** 2))
-    quad = ShellQuadrature(2)
-    ks, sups = dyadic_shell_terms(F, quad)
+    ks, sups = dyadic_shell_terms(F)
     weight = -1.0
-    got = dyadic_shell_sum(F, weight, quad)
+    got = dyadic_shell_sum(F, weight)
     dense = 0.0
     for k in ks:
         radii = np.geomspace(2.0 ** k, 2.0 ** (k + 1), 400)
@@ -616,9 +604,9 @@ def test_dyadic_shell_sum_vs_dense_sweep():
     assert np.array_equal(ks, np.arange(-3, 1))
 
 
-def _naive_sphere_integral(F, r, quad):
+def _naive_sphere_integral(F, r):
     """One fresh rule, one |F| and one interpolation per radius."""
-    dirs, w = fourier._sphere_rule.__wrapped__(quad)
+    dirs, w, _ = fourier._sphere_rule.__wrapped__(F.spec.dim)
     points = r * dirs
     coords = np.empty((F.spec.dim, points.shape[0]))
     for ax in range(F.spec.dim):
@@ -627,34 +615,32 @@ def _naive_sphere_integral(F, r, quad):
     return float(np.dot(w, vals) * r ** (F.spec.dim - 1))
 
 
-def _naive_dyadic_shell_terms(F, quad):
-    """The per-radius sphere_integral sweep that dyadic_shell_terms replaces."""
+def _naive_dyadic_shell_terms(F):
+    """The per-radius sweep that dyadic_shell_terms replaces, at 16 radii per shell."""
     ks = list(fourier._shell_range(F.spec))
     sups = np.zeros(len(ks))
     for i, k in enumerate(ks):
-        radii = np.geomspace(2.0 ** k, 2.0 ** (k + 1), quad.radial_count)
-        sups[i] = max(_naive_sphere_integral(F, r, quad) for r in radii)
+        radii = np.geomspace(2.0 ** k, 2.0 ** (k + 1), 16)
+        sups[i] = max(_naive_sphere_integral(F, r) for r in radii)
     return np.array(ks), sups
 
 
 SHELL_RTOL = 1e-13  # the operator merges cells and folds antipodes: last bits only
 
 
-def _assert_shell_terms_match(F, quad):
-    ks, sups = dyadic_shell_terms(F, quad)
-    naive_ks, naive_sups = _naive_dyadic_shell_terms(F, quad)
+def _assert_shell_terms_match(F):
+    ks, sups = dyadic_shell_terms(F)
+    naive_ks, naive_sups = _naive_dyadic_shell_terms(F)
     assert len(ks) > 0 and np.array_equal(ks, naive_ks)
     np.testing.assert_allclose(sups, naive_sups, rtol=SHELL_RTOL, atol=0.0)
     for r in np.geomspace(2.0 ** ks[0], 2.0 ** (ks[-1] + 1), 5):
-        assert sphere_integral(F, r, quad) == pytest.approx(
-            _naive_sphere_integral(F, r, quad), rel=SHELL_RTOL, abs=0.0)
+        assert sphere_integral(F, r) == pytest.approx(
+            _naive_sphere_integral(F, r), rel=SHELL_RTOL, abs=0.0)
 
 
-@pytest.mark.parametrize("radial_count", [16, 9])
-def test_dyadic_shell_terms_match_naive_sweep(corpus2, corpus3, radial_count):
+def test_dyadic_shell_terms_match_naive_sweep(corpus2, corpus3):
     for member in corpus2[:3] + corpus3[:2]:
-        F = transform(member.f)
-        _assert_shell_terms_match(F, ShellQuadrature(F.spec.dim, radial_count=radial_count))
+        _assert_shell_terms_match(transform(member.f))
 
 
 def _random_spectrum(spec, seed):
@@ -672,33 +658,28 @@ def _random_spectrum(spec, seed):
 ])
 def test_shell_operator_on_non_hermitian_spectra(half_extents, points):
     spec = dual_grid(GridSpec(len(points), half_extents, points))
-    for quad in (ShellQuadrature(spec.dim), ShellQuadrature(spec.dim, radial_count=9)):
-        _assert_shell_terms_match(_random_spectrum(spec, len(points)), quad)
-    assert fourier._shell_operator(spec, ShellQuadrature(spec.dim)).folded
+    _assert_shell_terms_match(_random_spectrum(spec, len(points)))
+    assert fourier._shell_operator(spec).folded
 
 
-def test_antipodes_pair_opposite_directions_of_equal_weight():
-    for quad in (ShellQuadrature(2), ShellQuadrature(2, angular_count=10),
-                 ShellQuadrature(3), ShellQuadrature(3, polar_count=9, azimuth_count=8)):
-        anti = fourier._antipodes(quad)
-        dirs, w = quad.directions()
-        assert np.array_equal(anti[anti], np.arange(len(w))) and np.all(anti != np.arange(len(w)))
-        assert np.array_equal(w[anti], w)
-        np.testing.assert_allclose(dirs[anti], -dirs, rtol=0.0, atol=4 * EPS)
-
-
-@pytest.mark.parametrize("quad", [
-    ShellQuadrature(2, angular_count=63),
-    ShellQuadrature(3, azimuth_count=47),
-    ShellQuadrature(3, radial_count=9, polar_count=9, azimuth_count=9),
-])
-def test_rules_without_antipodes_fold_nothing(corpus2, corpus3, quad):
-    assert fourier._antipodes(quad) is None
-    F = transform((corpus2 if quad.dim == 2 else corpus3)[0].f)
-    op = fourier._shell_operator(F.spec, quad)
-    assert not op.folded and op.cells.max() < F.values.size
-    _assert_shell_terms_match(F, quad)
-    _assert_shell_terms_match(_random_spectrum(F.spec, 5), quad)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sphere_rule_pairs_antipodes_and_is_cached_read_only(dim):
+    dirs, w, anti = fourier._sphere_rule(dim)
+    count = len(w)
+    assert count == (64 if dim == 2 else 24 * 48) and dirs.shape == (count, dim)
+    assert np.array_equal(anti[anti], np.arange(count)) and np.all(anti != np.arange(count))
+    assert np.array_equal(w[anti], w)
+    np.testing.assert_allclose(dirs[anti], -dirs, rtol=0.0, atol=4 * EPS)
+    assert w.sum() == pytest.approx(_sphere_measure(dim), rel=1e-14)  # 2 pi, 4 pi
+    for arr, fresh in zip((dirs, w, anti), fourier._sphere_rule.__wrapped__(dim)):
+        assert np.array_equal(arr, fresh)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    again = fourier._sphere_rule(dim)
+    assert all(a is b for a, b in zip(again, (dirs, w, anti)))
+    with pytest.raises(ValueError, match="dim must be 2 or 3"):
+        fourier._sphere_rule(1)
 
 
 def test_top_shell_points_past_the_last_positive_node_count_zero():
@@ -707,26 +688,25 @@ def test_top_shell_points_past_the_last_positive_node_count_zero():
     # mode="constant" counts the points beyond it as 0
     spec = dual_grid(GridSpec.box(2, 4.0, 32))
     F = SpectralFunction(spec, np.ones(spec.shape))
-    quad = ShellQuadrature(2)
     top = min(spec.half_extents)
     last = top - spec.spacing[0]
-    ks, _ = dyadic_shell_terms(F, quad)
+    ks, _ = dyadic_shell_terms(F)
     assert 2.0 ** (ks[-1] + 1) == top
     inner = 0.99 * last
-    assert sphere_integral(F, inner, quad) == pytest.approx(2 * np.pi * inner, rel=1e-13)
+    assert sphere_integral(F, inner) == pytest.approx(2 * np.pi * inner, rel=1e-13)
     for r in (0.5 * (last + top), top):
-        got = sphere_integral(F, r, quad)
-        assert got == pytest.approx(_naive_sphere_integral(F, r, quad), rel=SHELL_RTOL, abs=0.0)
+        got = sphere_integral(F, r)
+        assert got == pytest.approx(_naive_sphere_integral(F, r), rel=SHELL_RTOL, abs=0.0)
         assert got < 0.95 * 2 * np.pi * r
-    _assert_shell_terms_match(F, quad)
+    _assert_shell_terms_match(F)
 
 
 def test_shell_operator_is_cached_read_only_and_bounded():
     cache = fourier._shell_operator
     assert cache.cache_info().maxsize is not None
     spec = dual_grid(GridSpec(3, (4.0, 3.0, 2.0), (16, 14, 8)))
-    op = cache(spec, ShellQuadrature(3))
-    assert cache(spec, ShellQuadrature(3)) is op
+    op = cache(spec)
+    assert cache(dual_grid(GridSpec(3, (4.0, 3.0, 2.0), (16, 14, 8)))) is op
     for arr in (op.radii, op.starts, op.cells, op.weights):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -735,37 +715,23 @@ def test_shell_operator_is_cached_read_only_and_bounded():
     assert len(op.starts) == len(op.radii) == 16 * len(fourier._shell_range(spec))
     assert np.all(np.diff(op.starts) > 0)
     for k in range(cache.cache_info().maxsize + 4):
-        cache(spec, ShellQuadrature(3, radial_count=8 + k))
+        cache(dual_grid(GridSpec(3, (4.0, 3.0, 2.0), (16, 14, 8 + 2 * k))))
     assert cache.cache_info().currsize == cache.cache_info().maxsize
-    default = cache.__wrapped__(dual_grid(GridSpec.box(3, 4.0, 32)), ShellQuadrature(3))
+    default = cache.__wrapped__(dual_grid(GridSpec.box(3, 4.0, 32)))
     assert default.folded and sum(a.nbytes for a in default[:4]) < 0.6e6
-
-
-def test_shell_directions_are_cached_and_read_only():
-    for quad in (ShellQuadrature(2), ShellQuadrature(3), ShellQuadrature(3, polar_count=8)):
-        dirs, w = quad.directions()
-        fresh_dirs, fresh_w = fourier._sphere_rule.__wrapped__(quad)
-        assert np.array_equal(dirs, fresh_dirs) and np.array_equal(w, fresh_w)
-        assert not dirs.flags.writeable and not w.flags.writeable
-        with pytest.raises(ValueError):
-            w[0] = 0.0
-        again = type(quad)(**vars(quad)).directions()
-        assert again[0] is dirs and again[1] is w
-    coarse = ShellQuadrature(3, polar_count=8).directions()[0]
-    assert coarse.shape == (8 * 48, 3)
-    assert ShellQuadrature(3).directions()[0].shape == (24 * 48, 3)
 
 
 def test_sphere_integral_rejects_bad_radius_and_dim():
     F = radial_spectrum(2, lambda r: np.exp(-r ** 2))
-    quad = ShellQuadrature(2)
     edge = min(F.spec.half_extents)
-    assert sphere_integral(F, edge, quad) >= 0.0
+    assert sphere_integral(F, edge) >= 0.0
     for r in (0.0, -0.5, edge * (1.0 + 1e-12), 2.0 * edge):
         with pytest.raises(ValueError, match="outside the frequency extent"):
-            sphere_integral(F, r, quad)
-    with pytest.raises(ValueError, match="quadrature dimension"):
-        sphere_integral(F, 0.5, ShellQuadrature(3))
+            sphere_integral(F, r)
+    line = SpectralFunction(dual_grid(GridSpec.box(1, 4.0, 32)), np.ones(32))
+    for call in (lambda: sphere_integral(line, 0.5), lambda: dyadic_shell_terms(line)):
+        with pytest.raises(ValueError, match="dim must be 2 or 3"):
+            call()
 
 
 def test_cube_shell_sum_finite_and_homogeneous(corpus2):

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from ineqkit import gridfn
+from ineqkit import gridfn, verify
 from ineqkit.gridfn import (FAMILY_IDS, CorpusMember, FamilySpec, GridFunction,
                             GridSpec, corpus_generate, derivative,
                             dilate_family, load_corpus_spec, sample,
@@ -73,6 +73,20 @@ def test_grid_spec_rejects_odd_points():
         GridSpec(1, (4.0,), (15,))
     with pytest.raises(ValueError):
         GridSpec(2, (4.0,), (16, 16))
+
+
+def test_grid_spec_rejects_fractional_point_counts():
+    with pytest.raises(ValueError, match="integers"):
+        GridSpec(2, (4.0, 4.0), (32.0, 32.0))
+    for points in (32.5, (32, 31.5)):
+        with pytest.raises(ValueError, match="integers"):
+            GridSpec.box(2, 4.0, points)
+    with pytest.raises(ValueError, match="integers"):
+        GridSpec.from_dict({"dim": 1, "half_extents": [4.0], "points": [32.5]})
+    # integral counts of any numeric type give the same spec
+    g = GridSpec(2, (4.0, 4.0), (32, 32))
+    assert GridSpec.box(2, 4.0, 32.0) == g == GridSpec.box(2, 4.0, np.int64(32))
+    assert GridSpec(2, (4.0, 4.0), (np.int64(32), 32)) == g
 
 
 def test_grid_spec_refine_and_drop_axis():
@@ -152,6 +166,79 @@ def test_sample_member_matches_sample_and_derivative(dim):
         assert len(m.derivs) == dim
         for k, d in enumerate(m.derivs):
             assert np.array_equal(d.values, derivative(m.family, k, grid).values)
+
+
+# The smooth step as gridfn computed it before it shared one exp per side
+# between the step and its slope: the oracle of the sampler.
+
+
+def _old_expstep(v):
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape)
+    pos = v > 0
+    out[pos] = np.exp(-1.0 / v[pos])
+    return out
+
+
+def _old_expstep_dv(v):
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape)
+    pos = v > 0
+    vp = v[pos]
+    out[pos] = np.exp(-1.0 / vp) / (vp * vp)
+    return out
+
+
+def _old_smoothstep(v):
+    a = _old_expstep(v)
+    b = _old_expstep(1.0 - np.asarray(v, dtype=float))
+    return a / (a + b)
+
+
+def _old_smoothstep_dv(v):
+    v = np.asarray(v, dtype=float)
+    a = _old_expstep(v)
+    b = _old_expstep(1.0 - v)
+    da = _old_expstep_dv(v)
+    db = _old_expstep_dv(1.0 - v)
+    s = a + b
+    out = np.zeros(v.shape)
+    mid = (v > 0) & (v < 1)
+    out[mid] = (da[mid] * b[mid] + a[mid] * db[mid]) / (s[mid] * s[mid])
+    return out
+
+
+def test_smoothstep_matches_the_three_exp_helpers():
+    # the geometric run crosses v = 1/745.14, below which exp(-1/v) underflows to 0
+    edges = [-np.inf, -1.0, -1e-300, 0.0, 0.5, 1.0 - 1e-16, 1.0, 1.5, np.inf]
+    v = np.concatenate([np.linspace(-0.5, 1.5, 4001), np.geomspace(1e-6, 1e-2, 400), edges])
+    step, slope = gridfn._smoothstep(v)
+    assert np.array_equal(step, _old_smoothstep(v))
+    assert np.array_equal(slope, _old_smoothstep_dv(v))
+    assert step[v <= 0].max() == 0.0 and step[v >= 1].min() == 1.0
+    grid = v[:4000].reshape(40, 100)
+    assert all(np.array_equal(new, old(grid)) for new, old in
+               zip(gridfn._smoothstep(grid), (_old_smoothstep, _old_smoothstep_dv)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_samples_match_the_three_exp_helpers(dim, monkeypatch):
+    # every default family on the default, fine and dilated grids of verify
+    coarse = verify.default_grid(dim)
+    fine = coarse.refine(2)
+    cases = []
+    for fam in verify.default_families(dim):
+        cases += [(fam, coarse), (fam, fine)]
+        cases += [(dilate_family(fam, lam),
+                   GridSpec(dim, tuple(L / lam for L in fine.half_extents), fine.points))
+                  for lam in (0.5, 2.0)]
+    new = [sample_member(fam, grid) for fam, grid in cases]
+    monkeypatch.setattr(gridfn, "_smoothstep",
+                        lambda v: (_old_smoothstep(v), _old_smoothstep_dv(v)))
+    for (fam, grid), got in zip(cases, new):
+        old = sample_member(fam, grid)
+        for a, b in zip((got.f,) + got.derivs, (old.f,) + old.derivs):
+            assert np.array_equal(a.values, b.values)
 
 
 def test_derivative_rejects_bad_axis(corpus2):

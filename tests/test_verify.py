@@ -455,8 +455,7 @@ def _eval_pelcz1(member, params):
 def _eval_oberlin(member, params):
     g = member.derivs[0]
     F = fourier.transform(g)
-    quad = fourier.ShellQuadrature(member.dim)
-    return fourier.dyadic_shell_sum(F, 1 - member.dim, quad), fourier.h1_norm(g)
+    return fourier.dyadic_shell_sum(F, 1 - member.dim), fourier.h1_norm(g)
 
 
 def _eval_sup_integral(member, params):
@@ -473,8 +472,7 @@ def _eval_sup_integral_h1(member, params):
 
 def _eval_obertype1(member, params):
     F = fourier.transform(member.f)
-    quad = fourier.ShellQuadrature(member.dim)
-    return fourier.dyadic_shell_sum(F, 2 - member.dim, quad), _grad_norm(member, 1.0)
+    return fourier.dyadic_shell_sum(F, 2 - member.dim), _grad_norm(member, 1.0)
 
 
 def _eval_obertype33(member, params):
