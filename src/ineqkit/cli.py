@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--count", type=int, default=None)
     gen.add_argument("--dim", type=int, default=None, choices=(1, 2, 3))
-    gen.add_argument("--grid", type=str, default=None, metavar="L,POINTS")
+    gen.add_argument("--grid", type=_parse_grid_text, default=None, metavar="L,POINTS")
     gen.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify", help="registry runs")
@@ -147,7 +147,7 @@ def _cmd_corpus_gen(args, parser) -> int:
     if args.grid is None:
         grid = verify.default_grid(args.dim)
     else:
-        L, pts = _parse_grid_text(args.grid)
+        L, pts = args.grid
         try:
             grid = GridSpec.box(args.dim, L, pts)
         except ValueError as exc:

@@ -49,7 +49,7 @@ import numpy as np
 import scipy.fft
 from scipy.ndimage import maximum_filter1d
 
-from .gridfn import GridFunction, GridSpec, _check_axis
+from .gridfn import GridFunction, GridSpec, _check_axis, _owned
 from .norms import lp_norm
 from .quadrature import segment_integral
 from .rearrange import decreasing_rearrangement, double_star
@@ -111,30 +111,6 @@ class SpectralFunction:
     @functools.cached_property
     def _max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-def _owned(cls, spec: GridSpec, values: np.ndarray, kind=None):
-    """cls(spec, values[, kind]) for a fresh array that only this module holds.
-
-    Checks the shape, dtype and finiteness as the constructors do and marks
-    values read-only, but does not copy it: nothing else can write to it.
-    """
-    fields = {"spec": spec, "values": values}
-    if cls is GridFunction:
-        if kind not in ("real", "complex"):
-            raise ValueError(f"kind must be 'real' or 'complex', got {kind!r}")
-        fields["kind"] = kind
-    dtype = np.float64 if kind == "real" else np.complex128
-    if values.shape != spec.shape or values.dtype != dtype:
-        raise ValueError(f"{values.dtype} values of shape {values.shape} do not match "
-                         f"{dtype.__name__} on grid {spec.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError("values must be finite")
-    values.setflags(write=False)
-    obj = object.__new__(cls)
-    for name, v in fields.items():
-        object.__setattr__(obj, name, v)  # frozen dataclasses: bypass __setattr__
-    return obj
 
 
 def _blocks(shape):

@@ -39,6 +39,7 @@ __all__ = [
     "sample_member",
     "corpus_generate",
     "dilate_family",
+    "dilate_member",
     "scale_family",
     "save_corpus_spec",
     "load_corpus_spec",
@@ -183,6 +184,31 @@ class GridFunction:
     def scaled(self, c) -> "GridFunction":
         kind = "complex" if (self.kind == "complex" or np.iscomplexobj(np.asarray(c))) else "real"
         return GridFunction(self.spec, self.values * c, kind)
+
+
+def _owned(cls, spec: GridSpec, values: np.ndarray, kind=None):
+    """cls(spec, values[, kind]) over values itself, for an array nothing writes to.
+
+    Checks the shape, dtype and finiteness as the constructors do and marks
+    values read-only, but does not copy it.  cls is GridFunction or a class
+    with the fields spec and values (fourier.SpectralFunction).
+    """
+    fields = {"spec": spec, "values": values}
+    if cls is GridFunction:
+        if kind not in ("real", "complex"):
+            raise ValueError(f"kind must be 'real' or 'complex', got {kind!r}")
+        fields["kind"] = kind
+    dtype = np.float64 if kind == "real" else np.complex128
+    if values.shape != spec.shape or values.dtype != dtype:
+        raise ValueError(f"{values.dtype} values of shape {values.shape} do not match "
+                         f"{dtype.__name__} on grid {spec.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    values.setflags(write=False)
+    obj = object.__new__(cls)
+    for name, v in fields.items():
+        object.__setattr__(obj, name, v)  # frozen dataclasses: bypass __setattr__
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +553,26 @@ def dilate_family(fam: FamilySpec, lam: float) -> FamilySpec:
         radius=fam.radius / lam,
         moll_width=fam.moll_width / lam,
     )
+
+
+def dilate_member(member: CorpusMember, lam: float) -> CorpusMember:
+    """The member of x -> f(lam x) on the box scaled by 1/lam, from member's arrays.
+
+    Its sample at the node x / lam is f's sample at x, so f's read-only
+    values array is shared, not copied, and its partials are lam times f's.
+    For lam a power of two this is sample_member(dilate_family(family, lam),
+    scaled grid) bit for bit, since the nodes, centers, widths and
+    frequencies all scale exactly, apart from partials in the subnormal
+    range, where the product by lam may round.
+    """
+    if lam <= 0:
+        raise ValueError("dilation factor must be positive")
+    grid = member.grid
+    scaled = GridSpec(grid.dim, tuple(L / lam for L in grid.half_extents), grid.points)
+    return CorpusMember(
+        dilate_family(member.family, lam),
+        _owned(GridFunction, scaled, member.f.values, member.f.kind),
+        tuple(_owned(GridFunction, scaled, lam * d.values, d.kind) for d in member.derivs))
 
 
 def scale_family(fam: FamilySpec, c: float) -> FamilySpec:

@@ -172,21 +172,31 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _lebesgue_of_cells(a: np.ndarray, cell: float, p: float, axis=None):
-    """Lebesgue norm of a step function with cells of measure `cell`, values a.
+# Every norm here is evaluated in two steps: a reduction of the nonnegative
+# cell values that the cell measure does not enter (_reduce), and a finish
+# that applies the cell measure, the Lorentz weights and the roots (_finish).
+# A caller that needs the same norm of the same values on grids that differ
+# only in their spacing (smoothness.difference_norms on rescaled copies of a
+# sample) reduces once and finishes per grid, with the same float operations.
 
-    With an axis, one norm per slice along it.  The roots are then taken one
-    scalar at a time, so each equals the norm of its slice alone bit for bit
-    (numpy's vectorised power may differ from the scalar one in the last bit).
-    """
+
+def _power_sum(a: np.ndarray, p: float, axis=None):
+    """Sum of a^p, over the whole array or along axis: a Lebesgue reduction."""
     # a ** 1.0 is a copy in numpy, so skipping it changes no bit
-    powers = a if p == 1.0 else a ** p
-    if axis is not None:
-        sums = np.sum(powers, axis=axis) * cell
-        return np.reshape([s ** (1.0 / p) for s in sums.ravel().tolist()], sums.shape)
-    if a.size == 0:
-        return 0.0
-    return float((np.sum(powers) * cell) ** (1.0 / p))
+    return np.sum(a if p == 1.0 else a ** p, axis=axis)
+
+
+def _lebesgue_root(total, cell: float, p: float):
+    """Lebesgue norm of a step function with cells of measure `cell` from its power sum.
+
+    An array of power sums gives an array of norms.  Every root is taken on a
+    scalar, so each norm equals that of its sum alone bit for bit: numpy's
+    vectorised power may differ from the scalar one in the last bit, and
+    the scalar one equals Python's.
+    """
+    if np.ndim(total):
+        return np.array([s ** (1.0 / p) for s in (total * cell).tolist()])
+    return float((total * cell) ** (1.0 / p))
 
 
 @functools.lru_cache(maxsize=32)
@@ -207,44 +217,93 @@ def _lorentz_weights(count: int, step: float, p: float, r: float) -> np.ndarray:
     return w
 
 
-def _lorentz_of_cells(a: np.ndarray, cell: float, p: float, r: float) -> float:
-    """Lorentz norm of a step function with cells of measure `cell`, values a."""
-    a = a[a > 0]
-    if a.size == 0:
+def _sorted_powers(a: np.ndarray, r: float) -> np.ndarray:
+    """The positive values of the 1-d array a, sorted decreasingly, to the power r.
+
+    This is a Lorentz reduction: zero cells add nothing to the norm.
+    """
+    return np.sort(a[a > 0])[::-1] ** r
+
+
+def _lorentz_root(powers: np.ndarray, cell: float, p: float, r: float) -> float:
+    """Lorentz norm of a step function with cells of measure `cell` from _sorted_powers."""
+    if powers.size == 0:
         return 0.0
-    srt = np.sort(a)[::-1]
-    w = _lorentz_weights(srt.size, cell, p, r)
-    return float(np.sum(srt ** r * w) ** (1.0 / r))
+    w = _lorentz_weights(powers.size, cell, p, r)
+    return float(np.sum(powers * w) ** (1.0 / r))
+
+
+def _root(part, cell: float, spec):
+    """Lebesgue or Lorentz norm with cells of measure `cell` from its reduction."""
+    if isinstance(spec, Lebesgue):
+        return _lebesgue_root(part, cell, spec.p)
+    return _lorentz_root(part, cell, spec.p, spec.r)
+
+
+def _inner_part(a: np.ndarray, axis: int, spec) -> np.ndarray:
+    """Reduction of the 1-d norm along `axis` of each line of the nonnegative array a.
+
+    A Lebesgue inner norm gives the power sum per line, a Lorentz one each
+    line sorted decreasingly to the power r (zeros kept, so the lines keep
+    their length).
+    """
+    if isinstance(spec, Lebesgue):
+        return _power_sum(a, spec.p, axis)
+    return np.flip(np.sort(a, axis=axis), axis=axis) ** spec.r
+
+
+def _inner_root(part: np.ndarray, axis: int, spec, step: float) -> np.ndarray:
+    """Per-line norms along `axis` with cells of length `step` from _inner_part."""
+    if isinstance(spec, Lebesgue):
+        return (part * step) ** (1.0 / spec.p)
+    w = _lorentz_weights(part.shape[axis], step, spec.p, spec.r)
+    shape = [1] * part.ndim
+    shape[axis] = -1
+    return np.sum(part * w.reshape(shape), axis=axis) ** (1.0 / spec.r)
+
+
+def _reduce(a: np.ndarray, spec: NormSpec):
+    """The part of the norm of the nonnegative array a that no cell measure enters.
+
+    Lebesgue: the power sum; Lorentz: the sorted powers of the positive
+    values; Mixed: the inner reduction of every line along spec.axis.
+    """
+    if isinstance(spec, Lebesgue):
+        return _power_sum(a.ravel(), spec.p)
+    if isinstance(spec, Lorentz):
+        return _sorted_powers(a.ravel(), spec.r)
+    return _inner_part(a, spec.axis, spec.inner)
+
+
+def _finish(part, grid, spec: NormSpec, at=None):
+    """The norm on grid from its reduction _reduce(a, spec).
+
+    For a Mixed spec, at (when given) places the inner norms in a zero-filled
+    table of all lines along spec.axis: part then reduced a block of a whose
+    other lines are all zero, and the outer norm reads the whole table.  An
+    array of Lebesgue power sums gives an array of norms (_lebesgue_root).
+    """
+    if not isinstance(spec, Mixed):
+        return _root(part, grid.cell_volume, spec)
+    step = grid.spacing[spec.axis]
+    inner = _inner_root(part, spec.axis, spec.inner, step)
+    if at is not None:
+        table = np.zeros(grid.shape[:spec.axis] + grid.shape[spec.axis + 1:])
+        table[at] = inner
+        inner = table
+    return _root(_reduce(inner, spec.outer), grid.cell_volume / step, spec.outer)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
     """Discrete Lebesgue norm (cell sums, exact for the sampled step function)."""
     Lebesgue(p)  # validate
-    return _lebesgue_of_cells(np.abs(f.values).ravel(), f.cell_volume, p)
+    return _lebesgue_root(_power_sum(np.abs(f.values).ravel(), p), f.cell_volume, p)
 
 
 def lorentz_norm(f: GridFunction, p: float, r: float) -> float:
     """Lorentz norm via the closed-form integral of the sorted step profile."""
     Lorentz(p, r)  # validate
-    return _lorentz_of_cells(np.abs(f.values).ravel(), f.cell_volume, p, r)
-
-
-def _inner_reduce(a: np.ndarray, axis: int, spec, step: float) -> np.ndarray:
-    """Per-slice 1-d norm along `axis` of the nonnegative array a."""
-    if isinstance(spec, Lebesgue):
-        powers = a if spec.p == 1.0 else a ** spec.p  # as in _lebesgue_of_cells
-        return (np.sum(powers, axis=axis) * step) ** (1.0 / spec.p)
-    srt = np.flip(np.sort(a, axis=axis), axis=axis)
-    w = _lorentz_weights(a.shape[axis], step, spec.p, spec.r)
-    shape = [1] * a.ndim
-    shape[axis] = -1
-    return np.sum(srt ** spec.r * w.reshape(shape), axis=axis) ** (1.0 / spec.r)
-
-
-def _outer_reduce(vals: np.ndarray, cell: float, spec) -> float:
-    if isinstance(spec, Lebesgue):
-        return _lebesgue_of_cells(vals.ravel(), cell, spec.p)
-    return _lorentz_of_cells(vals.ravel(), cell, spec.p, spec.r)
+    return _lorentz_root(_sorted_powers(np.abs(f.values).ravel(), r), f.cell_volume, p, r)
 
 
 def mixed_norm(f: GridFunction, spec: Mixed) -> float:
@@ -287,7 +346,7 @@ def norm_of_values(values: np.ndarray, grid, spec: NormSpec) -> float:
     if isinstance(spec, str):
         spec = parse_norm(spec)
     _check_values_spec(grid, spec)
-    return _norm_of_abs(np.abs(values), grid, spec)
+    return _finish(_reduce(np.abs(values), spec), grid, spec)
 
 
 def _check_values_spec(grid, spec) -> None:
@@ -303,17 +362,3 @@ def _check_values_spec(grid, spec) -> None:
     for part, name in ((spec.inner, "inner"), (spec.outer, "outer")):
         if not isinstance(part, (Lebesgue, Lorentz)):
             raise TypeError(f"{name} norm must be Lebesgue or Lorentz, got {part!r}")
-
-
-def _norm_of_abs(a: np.ndarray, grid, spec: NormSpec) -> float:
-    """norm_of_values of the nonnegative array a, for a spec that passed the check.
-
-    a is only read, so a caller may pass a scratch buffer it reuses.
-    """
-    if isinstance(spec, Lebesgue):
-        return _lebesgue_of_cells(a.ravel(), grid.cell_volume, spec.p)
-    if isinstance(spec, Lorentz):
-        return _lorentz_of_cells(a.ravel(), grid.cell_volume, spec.p, spec.r)
-    step = grid.spacing[spec.axis]
-    inner_vals = _inner_reduce(a, spec.axis, spec.inner, step)
-    return _outer_reduce(inner_vals, grid.cell_volume / step, spec.outer)

@@ -15,11 +15,20 @@ on the 2-D default members at L = 4, with the large-h completion below) at
 
 difference_norms is the one kernel behind every difference norm here: the
 moduli of smoothness, the Besov sums and the 1-d tail integrals all read
-from it.  It allocates no array per shift: real 1-d samples with a Lebesgue
-base are gathered and reduced in batches from one window view, and every
-other in-box shift reuses one scratch array for its difference and absolute
-value, which is reduced in place.  Every norm equals that of a fresh
-zero-filled difference of the whole array bit for bit:
+from it.  Each distinct shift is reduced once and then finished, in the two
+steps of norms._reduce and norms._finish.  The reduction does not depend on
+the grid spacing: the power sum for Leb(p), the sorted positive values to
+the power r for Lor(p,r), the inner reduction of every line of the cropped
+block for a Mixed base, and the row power sums of the batched 1-d kernel.
+The finish applies the cell volume, the step, the roots and the Lorentz
+weights of the grid, with the float operations of norm_of_values.  Every
+shift past the box is the shift N, whose difference is -f, so the norm of f
+is one more reduced shift.  It allocates no array per shift: real 1-d
+samples with a Lebesgue base are gathered and reduced in batches from one
+window view, and every other shift reuses one scratch array for its
+difference and absolute value, which is reduced in place.  Every norm
+equals that of a fresh zero-filled difference of the whole array bit for
+bit:
 
 - The overlap of C-contiguous samples is subtracted in one pass over the
   flattened array along any axis; the elements whose partner crossed into
@@ -33,6 +42,14 @@ zero-filled difference of the whole array bit for bit:
   Lebesgue bases are not cropped: their pairwise sums over the whole array
   would group other elements.
 
+The dilation sweep of verify evaluates the same samples on three grids that
+differ only in their spacing (gridfn.dilate_member).  There the fine sample
+and its rescaled copies share one memo of reductions, keyed by (axis, base)
+and then by shift (_share_reductions), so a copy only finishes them.  Only the
+sweep creates a memo, and it drops it when the sweep ends.  On verify's 64^3
+fine grid embed32's memo of a Gaussian holds 3.1 MB: one 64^2 inner table
+per shift, for 32 shifts on each of 3 axes.
+
 Moduli come from one table of signed running maxima, which stops at shift N
 since the modulus is constant beyond it.
 
@@ -41,7 +58,8 @@ dh/h over a geometric h-window.  Outside the window the integral is completed
 with the two standard analytic bounds: a difference norm is at most h times
 the norm of the directional derivative (small h), and at most twice the norm
 of the function (large h).  The small-h completion therefore needs the exact
-derivative and is skipped when none is supplied.
+derivative and is skipped when none is supplied.  The large-h completion
+reads the norm of f from a window shift past the box when there is one.
 """
 
 from __future__ import annotations
@@ -53,9 +71,8 @@ from typing import Optional
 import numpy as np
 
 from .gridfn import GridFunction, GridSpec, _check_axis
-from .norms import (Lebesgue, Lorentz, Mixed, NormSpec, _check_values_spec, _inner_reduce,
-                    _lebesgue_of_cells, _norm_of_abs, _outer_reduce,
-                    norm_of_values, parse_norm)
+from .norms import (Lebesgue, Lorentz, Mixed, NormSpec, _check_values_spec, _finish,
+                    _power_sum, _reduce, norm_of_values, parse_norm)
 from .quadrature import log_midpoint_nodes
 from .rearrange import decreasing_rearrangement, double_star
 
@@ -139,13 +156,15 @@ def difference(f: GridFunction, axis, h) -> GridFunction:
 _BATCH_ELEMENTS = 1 << 17
 
 
-def _lebesgue_rows(values: np.ndarray, ms: np.ndarray, cell: float, p: float) -> np.ndarray:
-    """Lebesgue p norms of the 1-d differences at the in-box shifts ms (0 < |m| < N).
+def _lebesgue_rows(values: np.ndarray, ms, p: float) -> np.ndarray:
+    """Power sums of |f(. + m h) - f| for real 1-d samples at the shifts ms (0 < |m| <= N).
 
     Row m of the window view of the zero-padded samples is the shifted
     function, so each batch is one gather, one subtraction and one reduction.
+    Each row sum runs over its row alone, as the sum of a fresh difference.
     """
     n = values.size
+    ms = np.asarray(ms, dtype=np.int64)
     padded = np.concatenate((np.zeros(n), values, np.zeros(n)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, n)
     rows = max(1, _BATCH_ELEMENTS // n)
@@ -154,7 +173,7 @@ def _lebesgue_rows(values: np.ndarray, ms: np.ndarray, cell: float, p: float) ->
         batch = windows[n + ms[lo:lo + rows]]
         batch -= values
         np.abs(batch, out=batch)
-        out[lo:lo + rows] = _lebesgue_of_cells(batch, cell, p, axis=1)
+        out[lo:lo + rows] = _power_sum(batch, p, axis=1)
     return out
 
 
@@ -186,6 +205,48 @@ def _support_box(values: np.ndarray, axes) -> tuple:
     return tuple(box)
 
 
+def _reductions(vals: np.ndarray, axis, shifts, base: NormSpec) -> list:
+    """(reduction, placement) of the difference norm at each shift 0 < |m| <= N.
+
+    The reduction is norms._reduce of |f(. + m h) - f|; the placement is the
+    crop's index in a Mixed base's table of inner norms, None otherwise.
+    Shift N stands for every shift past the box, whose difference is -f.
+    """
+    if vals.ndim == 1 and isinstance(base, Lebesgue) and np.isrealobj(vals):
+        return [(s, None) for s in _lebesgue_rows(vals, shifts, base.p).tolist()]
+    box = _support_box(vals, _crop_axes(base, axis, vals.ndim))
+    sub = vals[box]
+    if sub.shape != vals.shape:
+        # order "K" keeps the layout, so the inner sums run as on the whole array
+        sub = sub.copy(order="K")
+    at = box[:base.axis] + box[base.axis + 1:] if isinstance(base, Mixed) else None
+    buf = np.empty_like(sub)
+    # complex samples need a real array for the absolute values
+    mag = buf if np.isrealobj(buf) else np.empty_like(sub, dtype=float)
+    out = []
+    for m in shifts:
+        np.abs(_difference_values(sub, axis, int(m), out=buf), out=mag)
+        out.append((_reduce(mag, base), at))
+    return out
+
+
+def _share_reductions(f: GridFunction, source: Optional[GridFunction]) -> None:
+    """Let difference_norms of f read and store its reductions in the memo of source.
+
+    source gets a memo if it has none; f may be source itself.  A reduction
+    depends on the samples, not on the spacing, so f must hold the same
+    values array as source (a copy that gridfn.dilate_member rescaled), or
+    ValueError is raised.  With source None, f drops its memo.
+    """
+    if source is None:
+        vars(f).pop("_reductions", None)
+        return
+    if f.values is not source.values:
+        raise ValueError("only functions with one values array share a reduction memo")
+    # both are frozen: bypass their __setattr__
+    vars(f)["_reductions"] = vars(source).setdefault("_reductions", {})
+
+
 def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.ndarray:
     """Norms of f(. + m h e_axis) - f at the given shift multiples m.
 
@@ -194,9 +255,9 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     norm_of_values can evaluate on the grid (checked on entry, with its
     errors, whatever the shifts), and points shifted outside the box count as
     zero.  Shift 0 has norm 0.  For |m| >= N, N the points on the axis, the
-    difference is exactly -f, so its norm is the norm of f, computed once per
-    call.  Other shifts subtract on the overlap only.  For real 1-d samples
-    and a Lebesgue base they are reduced in batches.
+    difference is exactly -f, so its norm is the norm of f, evaluated once
+    per call as the shift N.  Other shifts subtract on the overlap only.  For
+    real 1-d samples and a Lebesgue base they are reduced in batches.
 
     Otherwise the call crops f once to the bounding box of its nonzero
     samples along every axis but the shift axis for a Lorentz base, and
@@ -211,42 +272,35 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     values of complex samples), and each norm equals that of a fresh
     difference of the whole array bit for bit.  The crop depends only on the
     data: a function with no zero sample runs on the whole grid.
+
+    Each distinct shift is reduced once (norms._reduce) and finished on the
+    grid of f (norms._finish).  When f carries a reduction memo
+    (_share_reductions), the reductions are read from it and stored in it,
+    keyed by (axis, base) and then by shift, so a copy of f on a rescaled
+    grid only finishes what f reduced.
     """
     if isinstance(base, str):
         base = parse_norm(base)
     _check_axis(axis, f.spec.dim)
     ms = _integer_multiples(multiples)
-    grid, vals = f.spec, f.values
+    grid = f.spec
     _check_values_spec(grid, base)
     n = grid.points[axis]
-    out = np.zeros(ms.size)
-    outside = np.abs(ms) >= n
-    if outside.any():
-        out[outside] = norm_of_values(vals, grid, base)
-    inside = np.flatnonzero((ms != 0) & ~outside)
-    if grid.dim == 1 and isinstance(base, Lebesgue) and np.isrealobj(vals):
-        out[inside] = _lebesgue_rows(vals, ms[inside], grid.cell_volume, base.p)
-    elif inside.size:
-        box = _support_box(vals, _crop_axes(base, axis, grid.dim))
-        sub = vals[box]
-        if sub.shape != vals.shape:
-            # order "K" keeps the layout, so the inner sums run as on the whole array
-            sub = sub.copy(order="K")
-        buf = np.empty_like(sub)
-        # complex samples need a real array for the absolute values
-        mag = buf if np.isrealobj(buf) else np.empty_like(sub, dtype=float)
-        if isinstance(base, Mixed):
-            step = grid.spacing[base.axis]
-            table = np.zeros(vals.shape[:base.axis] + vals.shape[base.axis + 1:])
-            at = box[:base.axis] + box[base.axis + 1:]
-        for i in inside:
-            np.abs(_difference_values(sub, axis, int(ms[i]), out=buf), out=mag)
-            if isinstance(base, Mixed):
-                table[at] = _inner_reduce(mag, base.axis, base.inner, step)
-                out[i] = _outer_reduce(table, grid.cell_volume / step, base.outer)
-            else:
-                out[i] = _norm_of_abs(mag, grid, base)
-    return out
+    shifts, where = np.unique(np.where(np.abs(ms) >= n, n, ms), return_inverse=True)
+    moved = shifts != 0
+    # the reductions of this axis and base: in f's memo, or in a dict of this call
+    memo = vars(f).get("_reductions", {}).setdefault((axis, base), {})
+    todo = [m for m in shifts[moved].tolist() if m not in memo]
+    if todo:
+        memo.update(zip(todo, _reductions(f.values, axis, todo, base)))
+    parts = [memo[m] for m in shifts[moved].tolist()]
+    out = np.zeros(shifts.size)
+    if isinstance(base, Lebesgue):
+        # scalar power sums: one finish for all of them
+        out[moved] = _finish(np.array([part for part, _ in parts]), grid, base)
+    else:
+        out[moved] = [_finish(part, grid, base, at) for part, at in parts]
+    return out[where]
 
 
 def _moduli(f: GridFunction, axis, base: NormSpec, ms) -> tuple[np.ndarray, np.ndarray]:
@@ -367,15 +421,19 @@ def besov_seminorm(f: GridFunction, spec: BesovSpec, deriv: Optional[GridFunctio
     alpha, theta = spec.alpha, spec.theta
 
     ms, weights = _snapped_nodes(h_min, h_max, spec.ratio, step)
+    n = grid.points[spec.axis]
+    # the norms at shifts past the box, if any, are the norm of f
     if spec.use_modulus and ms.size:
-        d = _moduli(f, spec.axis, spec.base, ms)[0]
+        d, pos = _moduli(f, spec.axis, spec.base, ms)
+        past = pos[n - 1:]
     else:
         d = difference_norms(f, spec.axis, ms, spec.base)
+        past = d[ms >= n]
     hs = ms * step
     total = float(np.sum(hs ** (-alpha * theta) * d ** theta * weights))
 
     if upper_tail:
-        fnorm = norm_of_values(f.values, grid, spec.base)
+        fnorm = float(past[0]) if past.size else norm_of_values(f.values, grid, spec.base)
         total += (2.0 * fnorm) ** theta * h_max ** (-alpha * theta) / (alpha * theta)
     if deriv is not None:
         dnorm = norm_of_values(deriv.values, grid, spec.base)

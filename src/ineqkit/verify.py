@@ -20,8 +20,9 @@ it, so entries that share a side share its work.  The worst-pair and
 derived-exponent entries keep their own evaluators.
 
 Every member is evaluated at a coarse grid and its 2x refinement; the
-empirical constant is the maximum fine-grid ratio.  The runner is
-member-major: each member is sampled once per grid and every entry is
+empirical constant is the maximum fine-grid ratio.  Entries with a dilation
+sweep also run on rescaled copies of the fine sample (see run).  The runner
+is member-major: each member is sampled once per grid and every entry is
 evaluated on that sample.  Entries, families and grids are frozen dataclasses
 and functionals and evaluators are top-level functions, so a task carries the
 specs themselves to a worker process, which samples the member from its
@@ -45,13 +46,14 @@ import numpy as np
 
 from . import fourier
 from .gridfn import (CorpusMember, FamilySpec, FORMAT_VERSION, GridSpec, _atomic_write,
-                     corpus_generate, dilate_family, sample_member)
+                     corpus_generate, dilate_member, sample_member)
 from .hardyops import RaySamples, doublestar_bound_check, hardy_check
 from .norms import Lebesgue, Mixed, lp_norm, norm, norm_of_values, parse_norm
 from .rearrange import decreasing_rearrangement, double_star
 # difference_norms stays importable from here: perfbench/tests checks the name.
-from .smoothness import (BesovSpec, _moduli, besov_seminorm, difference_norms,  # noqa: F401
-                         modulus, ulyanov_pointwise, ulyanov_tail)
+from .smoothness import (BesovSpec, _moduli, _share_reductions, besov_seminorm,
+                         difference_norms, modulus, ulyanov_pointwise,  # noqa: F401
+                         ulyanov_tail)
 
 __all__ = [
     "InequalitySpec",
@@ -687,32 +689,51 @@ def _evaluate(specs, dim, member):
     return out
 
 
+def _sweep(specs, dim, member):
+    """The dilation sweep: the entries on member and on its copies dilated by 1/2 and 2.
+
+    Returns one (fine, down, up) triple of _evaluate results per spec, for
+    lam = 1, 1/2 and 2.  lam = 1 is member itself, so later entries share
+    what it caches.  The copies (gridfn.dilate_member) share f's values, so
+    all three share one memo of difference-norm reductions, and a copy only
+    finishes what member reduced.  Each copy is dropped before the next one
+    is built, and the memo before this returns.
+    """
+    if not specs:
+        return []
+    sides = []
+    for lam in (1.0, 0.5, 2.0):
+        copy = member if lam == 1.0 else dilate_member(member, lam)
+        _share_reductions(copy.f, member.f)
+        sides.append(_evaluate(specs, dim, copy))
+        del copy
+    _share_reductions(member.f, None)
+    return list(zip(*sides))
+
+
 def _evaluate_member(task):
     """Every entry's row for one member at both resolutions; pool-safe.
 
     Member-major: the member is sampled once per grid and every entry runs on
     that sample, so an entry reuses what an earlier one cached on it (the
     Fourier transforms of f and its derivatives).  The coarse sample is
-    dropped before the fine one is drawn.  Returns one (row, seconds) pair
-    per entry, in the order of the specs.
+    dropped before the fine one is drawn.  On the fine sample the sweep
+    entries run first, with their dilated copies (_sweep), so the reduction
+    memo is gone before any other entry computes a spectrum.  Returns one
+    (row, seconds) pair per entry, in the order of the specs.
     """
     specs, dim, index, fam, grid = task
-    fine = grid.refine(2)
     coarse = _evaluate(specs, dim, sample_member(fam, grid))
-    refined = _evaluate(specs, dim, sample_member(fam, fine))
-    # f(lam x) is sampled on the box rescaled by 1/lam with the same point
-    # count, so the dilated configuration is an exact rescale of the original
-    # and the fitted exponents carry no extra discretization error; every
-    # sweep entry reads the same dilated sample, and no name holds it, so
-    # it is freed before the next one is drawn
-    sweeps = [spec for spec in specs if spec.dilation_sweep]
-    dilated = {}
-    for lam in ((0.5, 2.0) if sweeps else ()):
-        g = GridSpec(fine.dim, tuple(L / lam for L in fine.half_extents), fine.points)
-        sides = _evaluate(sweeps, dim, sample_member(dilate_family(fam, lam), g))
-        dilated[lam] = dict(zip((spec.id for spec in sweeps), sides))
+    member = sample_member(fam, grid.refine(2))
+    swept = iter(_sweep([spec for spec in specs if spec.dilation_sweep], dim, member))
+    rest = iter(_evaluate([spec for spec in specs if not spec.dilation_sweep], dim, member))
+    del member
     out = []
-    for spec, ((lc, rc), tc), ((lf, rf), tf) in zip(specs, coarse, refined):
+    for spec, ((lc, rc), tc) in zip(specs, coarse):
+        if spec.dilation_sweep:
+            ((lf, rf), tf), (down, td), (up, tu) = next(swept)
+        else:
+            (lf, rf), tf = next(rest)
         row = {
             "member": index, "family": fam.family,
             "lhs_coarse": float(lc), "rhs_coarse": float(rc),
@@ -724,7 +745,6 @@ def _evaluate_member(task):
         }
         seconds = tc + tf
         if spec.dilation_sweep:
-            (down, td), (up, tu) = dilated[0.5][spec.id], dilated[2.0][spec.id]
             seconds += td + tu
             row["dilation_values"] = {
                 "0.5": [float(v) for v in down],
@@ -763,12 +783,20 @@ def run(specs, dim: int, families, coarse_grid: GridSpec,
     specs is a sequence of registry entries that all apply to dim; one
     report per entry is returned, in the same order.  The loop is
     member-major: each member is sampled once on the coarse grid and every
-    entry runs on that sample, then once on the fine grid, and entries with
-    a dilation sweep share one pair of dilated samples.  With jobs > 1 the
-    members are spread over one process pool.  A report's runtime, which
-    report.json leaves out, is the time spent in its own entry's evaluator.
-    A side that entries share is evaluated once per member, so its time
-    falls to the first entry that evaluates it.
+    entry runs on that sample, then once on the fine grid.  With jobs > 1
+    the members are spread over one process pool.
+
+    Entries with dilation_sweep also run on two rescaled copies of the fine
+    sample, for x -> lam x with lam = 1/2 and 2: the same samples on the box
+    scaled by 1/lam, with derivatives lam * d_k f (gridfn.dilate_member).
+    The sweep is a discrete homogeneity check of the registry's exponents:
+    the log2 slopes of both sides must match.  On these bit-identical
+    samples it measures no discretization error; the coarse/fine drift does.
+
+    A report's runtime, which report.json leaves out, is the time spent in
+    its own entry's evaluator, with its sweep.  A side that entries share is
+    evaluated once per member, so its time falls to the first entry that
+    evaluates it.
     """
     specs = list(specs)
     for spec in specs:

@@ -4,9 +4,12 @@ Each test prints one `criterion N: PASS/FAIL` line with the measured
 numbers, then asserts.  Budgeted criteria also time themselves.
 """
 
+import copy
+import importlib.util
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,14 +204,49 @@ def test_criterion_8_probe_outputs():
     assert verdict(8, ok, "; ".join(ratios))
 
 
-def test_criterion_9_verify_all_determinism(tmp_path):
+@pytest.fixture(scope="module")
+def verify_all_text(tmp_path_factory):
+    """One default `verify all` report (run_all(jobs=1)) as save_report writes it.
+
+    Criterion 9 and the reference check share it, so neither adds a run.
+    """
+    path = tmp_path_factory.mktemp("verify_all") / "report.json"
+    reports, metadata = run_all(jobs=1)
+    save_report(path, reports, metadata)
+    return path.read_text()
+
+
+def test_criterion_9_verify_all_determinism(tmp_path, verify_all_text):
+    reports, metadata = run_all(jobs=1)
+    path = tmp_path / "report1.json"
+    save_report(path, reports, metadata)
     texts = []
-    for i in range(2):
-        reports, metadata = run_all(jobs=1)
-        path = tmp_path / f"report{i}.json"
-        save_report(path, reports, metadata)
-        text = path.read_text()
+    for text in (verify_all_text, path.read_text()):
         stamp = json.loads(text)["metadata"]["timestamp"]
         texts.append(text.replace(json.dumps(stamp), '"X"', 1))
     ok = texts[0] == texts[1]
     assert verdict(9, ok, f"{len(texts[0])} bytes, identical outside timestamp")
+
+
+def _perfbench_check():
+    """perfbench/check.py, the one reader of the committed reference rows."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_all_rows_match_the_committed_reference(verify_all_text):
+    # every default-seed row equals perfbench/reference.json to its rel_tol:
+    # a change that moves a value rebuilds the reference in the same diff
+    check = _perfbench_check()
+    reference = check.load_reference(SEED)
+    doc = json.loads(verify_all_text)
+    assert check.failed_rows(doc, reference) == set()
+    # one field moved by 1e-11 relative fails its row, and only it
+    moved = copy.deepcopy(doc)
+    rep = moved["reports"][len(moved["reports"]) // 2]
+    row = rep["rows"][-1]
+    row["rhs_fine"] *= 1 + 1e-11
+    assert check.failed_rows(moved, reference) == {(rep["id"], rep["dim"], row["member"])}

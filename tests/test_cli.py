@@ -86,6 +86,7 @@ def test_config_keys_are_the_long_flags(flow_dir, tmp_path):
 @pytest.mark.parametrize("argv,config", [
     (("corpus", "gen", "--out", "x.json"), {"dim": 4}),
     (("corpus", "gen", "--out", "x.json"), {"dim": 1.0}),
+    (("corpus", "gen", "--dim", "1", "--out", "x.json"), {"grid": "8"}),
     (("verify", "run", "--id", "bound", "--out", "out"), {"jobs": "two"}),
     (("probe", "--question", "bound", "--out", "out"), {"depth": "x"}),
     (("report", "render", "--format", "csv"), {"in_dir": "."}),
@@ -101,10 +102,14 @@ def test_bad_config_values_exit_2_like_their_flags(tmp_path, monkeypatch, argv, 
     assert [p.name for p in tmp_path.iterdir()] == ["conf.json"]
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cases = [
         ("corpus", "gen", "--dim", "1", "--count", "0", "--out", "x.json"),
         ("corpus", "gen", "--count", "3", "--out", "x.json"),
+        # --grid is parsed by its flag, before anything runs
+        ("corpus", "gen", "--dim", "1", "--grid", "8", "--out", "x.json"),
+        ("corpus", "gen", "--dim", "1", "--grid", "8,abc", "--out", "x.json"),
         ("verify", "run", "--id", "no_such_entry", "--out", str(tmp_path)),
         ("probe", "--question", "bound", "--out", str(tmp_path)),
         ("report", "render", "--format", "csv"),
@@ -113,6 +118,7 @@ def test_usage_errors_exit_2(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dim_mismatch_exits_2(flow_dir, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from ineqkit import gridfn, verify
 from ineqkit.gridfn import (FAMILY_IDS, CorpusMember, FamilySpec, GridFunction,
                             GridSpec, corpus_generate, derivative,
-                            dilate_family, load_corpus_spec, sample,
+                            dilate_family, dilate_member, load_corpus_spec, sample,
                             sample_member, save_corpus_spec, scale_family,
                             tail_fraction)
 
@@ -308,6 +308,40 @@ def test_dilate_family_matches_rescaled_grid(corpus2):
                           member.grid.points)
         g = sample(dilate_family(member.family, lam), shrunk)
         assert np.array_equal(g.values, member.f.values)
+
+
+@pytest.mark.parametrize("seed", [SEED, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dilate_member_is_the_resampled_dilation(dim, seed):
+    # the premise of the dilation sweep: on the fine grid of every default
+    # member, the rescaled copy is the dilated family sampled on the scaled box
+    fine = verify.default_grid(dim).refine(2)
+    subnormal_nodes = set()
+    for i, fam in enumerate(verify.default_families(dim, seed)):
+        member = sample_member(fam, fine)
+        for lam in (0.5, 2.0):
+            got = dilate_member(member, lam)
+            scaled = GridSpec(dim, tuple(L / lam for L in fine.half_extents), fine.points)
+            want = sample_member(dilate_family(fam, lam), scaled)
+            assert got.family == want.family and got.grid == scaled
+            assert got.f.values is member.f.values
+            assert np.array_equal(got.f.values, want.f.values)
+            for d, e, source in zip(got.derivs, want.derivs, member.derivs):
+                assert not d.values.flags.writeable
+                off = d.values != e.values
+                # a partial in the subnormal range: lam * d rounds, and the
+                # sampler's own rounding there may land one step away
+                assert np.all(np.abs(source.values[off]) < np.finfo(float).tiny)
+                assert np.all(np.abs(d.values[off] - e.values[off]) <= 5e-324)
+                subnormal_nodes.update((i, *map(int, node)) for node in np.argwhere(off))
+    # one node of a 3-D mollified_cone at the default seed, two at seed 7
+    assert len(subnormal_nodes) == {(3, SEED): 1, (3, 7): 2}.get((dim, seed), 0)
+
+
+def test_dilate_member_rejects_a_nonpositive_factor(corpus1):
+    for lam in (0.0, -2.0):
+        with pytest.raises(ValueError, match="positive"):
+            dilate_member(corpus1[0], lam)
 
 
 def test_corpus_spec_file_roundtrip(tmp_path, grid2):

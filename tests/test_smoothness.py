@@ -12,7 +12,7 @@ from ineqkit.norms import (IteratedLorentz, Lebesgue, Mixed, lp_norm, norm_of_va
 from ineqkit.smoothness import (BesovSpec, besov_seminorm, difference,
                                 difference_norms, modulus, ulyanov_pointwise,
                                 ulyanov_tail)
-from ineqkit.gridfn import dilate_family
+from ineqkit.gridfn import dilate_family, dilate_member
 
 from conftest import SEED
 
@@ -142,6 +142,39 @@ def test_difference_norms_match_naive_loop(grid, bases):
                     got = difference_norms(f, axis, ms, base)
                     want = _naive_difference_norms(f, axis, ms, base)
                     assert np.array_equal(got, want), f"{text} axis {axis} shifts {ms}"
+
+
+@pytest.mark.parametrize("grid", [GridSpec.box(1, 8.0, 128), GridSpec.box(2, 4.0, 16),
+                                  GridSpec.box(3, 4.0, 8)])
+def test_difference_norms_from_a_shared_memo_match_fresh_calls(grid):
+    # the dilation sweep's memo: the fine sample reduces each shift once, and
+    # its rescaled copies only finish those reductions on their own grids
+    texts = ["Leb(1)", "Leb(1.5)", "Lor(1.5,1)", "Lor(2,0.5)"]
+    if grid.dim > 1:
+        texts += [f"Mix({k};{inner};{outer})" for k in range(grid.dim)
+                  for inner, outer in (("Leb(1)", "Lor(1.5,1)"), ("Lor(2,1.5)", "Leb(1.5)"))]
+    bases = [parse_norm(text) for text in texts]
+    for member in corpus_generate(SEED, 6, grid):
+        for lam in (1.0, 0.5, 2.0):
+            # lam = 1 is the fine sample itself; each fresh copy has no memo
+            copy = member if lam == 1.0 else dilate_member(member, lam)
+            smoothness._share_reductions(copy.f, member.f)
+            memo = vars(copy.f)["_reductions"]
+            entries = sum(map(len, memo.values()))
+            for base in bases:
+                for axis in range(grid.dim):
+                    n = grid.points[axis]
+                    ms = [0, 1, -1, n - 1, 1 - n, n, -n, 2 * n]
+                    got = difference_norms(copy.f, axis, ms, base)
+                    want = difference_norms(dilate_member(member, lam).f, axis, ms, base)
+                    assert np.array_equal(got, want), f"{base} axis {axis} lam {lam}"
+            assert (sum(map(len, memo.values())) > entries) == (lam == 1.0)
+        assert memo is vars(member.f)["_reductions"]
+        smoothness._share_reductions(member.f, None)
+        assert "_reductions" not in vars(member.f)
+        other = corpus_generate(SEED + 1, 1, grid)[0].f
+        with pytest.raises(ValueError, match="one values array"):
+            smoothness._share_reductions(other, member.f)
 
 
 def _moveaxis_difference(values, axis, m):

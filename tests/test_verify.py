@@ -191,13 +191,14 @@ def test_run_is_deterministic_and_pool_safe():
     assert serial.to_dict() == pooled.to_dict()
 
 
-# Every entry kind at every dimension: dilation sweeps (embed0, embed1),
-# spectral entries sharing cached transforms (H_ineq, pelcz, pelcz1, sup111,
-# obertype33) and the Ulyanov table sweeps.
+# Every entry kind at every dimension: dilation sweeps (embed0, embed1,
+# embed32), which run first on the fine sample and drop their reduction memo
+# before the spectral entries sharing cached transforms (H_ineq, pelcz,
+# pelcz1, sup111, obertype33) run, and the Ulyanov table sweeps.
 MULTI_ENTRY_CASES = [
     (1, GridSpec.box(1, 8.0, 128), ("bound", "embed1", "omega1", "Ulyanov1", "ulyanov0")),
     (2, GridSpec.box(2, 4.0, 16), ("H_ineq", "embed0", "embed1", "pelcz", "const1")),
-    (3, GridSpec.box(3, 4.0, 16), ("obertype33", "pelcz1", "sup111")),
+    (3, GridSpec.box(3, 4.0, 16), ("obertype33", "embed32", "pelcz1", "sup111")),
 ]
 
 
@@ -213,6 +214,46 @@ def test_multi_entry_run_matches_one_entry_runs(dim, grid, ids, jobs):
         # json text: rows may hold NaN exponents, which never compare equal
         assert json.dumps(rep.to_dict(), sort_keys=True) == \
             json.dumps(alone.to_dict(), sort_keys=True)
+
+
+def test_sweep_memo_is_small_and_gone_before_any_spectrum(monkeypatch):
+    # verify_all's 3-D fine grid (64^3), and a Gaussian: its support box is
+    # the whole grid, so its memo is the largest
+    grid = default_grid(3)
+    fam = default_families(3)[0]
+    assert fam.family == "gaussian"
+    events, memos = [], []
+    share = verify._share_reductions
+
+    def spy_share(f, source):
+        events.append(("share", f.spec, source is not None))
+        share(f, source)
+        if source is not None:
+            memos.append(vars(f)["_reductions"])
+
+    transform = fourier.transform
+
+    def spy_transform(f):
+        events.append(("transform", f.spec, None))
+        return transform(f)
+
+    monkeypatch.setattr(verify, "_share_reductions", spy_share)
+    monkeypatch.setattr(fourier, "transform", spy_transform)
+    specs = [registry_map()[i] for i in ("pelcz1", "embed32")]
+    verify._evaluate_member((specs, 3, 0, fam, grid))
+    # one memo, attached to the fine sample and its two copies, then detached
+    fine = grid.refine(2)
+    assert [(kind, spec.half_extents[0], on) for kind, spec, on in events
+            if kind == "share"] == [("share", 4.0, True), ("share", 8.0, True),
+                                    ("share", 2.0, True), ("share", 4.0, False)]
+    assert all(memo is memos[0] for memo in memos)
+    assert 0 < sum(part.nbytes for reductions in memos[0].values()
+                   for part, _ in reductions.values()) <= 4e6
+    # the fine sample's spectra come after the memo is gone
+    detached = events.index(("share", fine, False))
+    spectra = [i for i, (kind, spec, _) in enumerate(events)
+               if kind == "transform" and spec == fine]
+    assert spectra and min(spectra) > detached
 
 
 def test_run_all_makes_one_run_per_dimension(monkeypatch, grid1, grid2):
