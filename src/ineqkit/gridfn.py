@@ -40,7 +40,6 @@ __all__ = [
     "corpus_generate",
     "dilate_family",
     "dilate_member",
-    "scale_family",
     "save_corpus_spec",
     "load_corpus_spec",
     "FORMAT_VERSION",
@@ -151,27 +150,28 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Immutable sampled function on a GridSpec.
+    """Immutable real samples on a GridSpec.
 
-    kind is "real" or "complex"; values are normalized to float64/complex128
-    and frozen (the array is copied and marked read-only).  Because nothing
-    can change, fourier.transform caches its result on the instance.
+    values are normalized to float64 and frozen (the array is copied and
+    marked read-only); complex values raise ValueError.  Because nothing can
+    change, fourier.transform caches its result on the instance.
     """
 
     spec: GridSpec
     values: np.ndarray
-    kind: str = "real"
+
+    @staticmethod
+    def _layout(spec: GridSpec):
+        """The shape and dtype of the values on spec (_owned reads it)."""
+        return spec.shape, np.float64
 
     def __post_init__(self):
         arr = np.asarray(self.values)
         if arr.shape != self.spec.shape:
             raise ValueError(f"values shape {arr.shape} does not match grid {self.spec.shape}")
-        if self.kind not in ("real", "complex"):
-            raise ValueError(f"kind must be 'real' or 'complex', got {self.kind!r}")
-        dtype = np.complex128 if self.kind == "complex" else np.float64
-        if self.kind == "real" and np.iscomplexobj(arr):
-            raise ValueError("complex values with kind='real'")
-        arr = arr.astype(dtype, copy=True)
+        if np.iscomplexobj(arr):
+            raise ValueError("values must be real")
+        arr = arr.astype(np.float64, copy=True)
         if not np.isfinite(arr).all():
             raise ValueError("values must be finite")
         arr.setflags(write=False)
@@ -181,33 +181,24 @@ class GridFunction:
     def cell_volume(self) -> float:
         return self.spec.cell_volume
 
-    def scaled(self, c) -> "GridFunction":
-        kind = "complex" if (self.kind == "complex" or np.iscomplexobj(np.asarray(c))) else "real"
-        return GridFunction(self.spec, self.values * c, kind)
 
+def _owned(cls, spec: GridSpec, values: np.ndarray):
+    """cls(spec, values) over values itself, for an array nothing writes to.
 
-def _owned(cls, spec: GridSpec, values: np.ndarray, kind=None):
-    """cls(spec, values[, kind]) over values itself, for an array nothing writes to.
-
-    Checks the shape, dtype and finiteness as the constructors do and marks
-    values read-only, but does not copy it.  cls is GridFunction or a class
-    with the fields spec and values (fourier.SpectralFunction).
+    Checks the shape and dtype of cls._layout(spec) and the finiteness, as
+    the constructors do, and marks values read-only, but does not copy it.
+    cls is GridFunction or fourier.SpectralFunction.
     """
-    fields = {"spec": spec, "values": values}
-    if cls is GridFunction:
-        if kind not in ("real", "complex"):
-            raise ValueError(f"kind must be 'real' or 'complex', got {kind!r}")
-        fields["kind"] = kind
-    dtype = np.float64 if kind == "real" else np.complex128
-    if values.shape != spec.shape or values.dtype != dtype:
+    shape, dtype = cls._layout(spec)
+    if values.shape != shape or values.dtype != dtype:
         raise ValueError(f"{values.dtype} values of shape {values.shape} do not match "
-                         f"{dtype.__name__} on grid {spec.shape}")
+                         f"{dtype.__name__} of shape {shape} on grid {spec.shape}")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     values.setflags(write=False)
     obj = object.__new__(cls)
-    for name, v in fields.items():
-        object.__setattr__(obj, name, v)  # frozen dataclasses: bypass __setattr__
+    object.__setattr__(obj, "spec", spec)  # frozen dataclasses: bypass __setattr__
+    object.__setattr__(obj, "values", values)
     return obj
 
 
@@ -571,13 +562,8 @@ def dilate_member(member: CorpusMember, lam: float) -> CorpusMember:
     scaled = GridSpec(grid.dim, tuple(L / lam for L in grid.half_extents), grid.points)
     return CorpusMember(
         dilate_family(member.family, lam),
-        _owned(GridFunction, scaled, member.f.values, member.f.kind),
-        tuple(_owned(GridFunction, scaled, lam * d.values, d.kind) for d in member.derivs))
-
-
-def scale_family(fam: FamilySpec, c: float) -> FamilySpec:
-    """Family of c * f."""
-    return dataclasses.replace(fam, amplitude=fam.amplitude * c)
+        _owned(GridFunction, scaled, member.f.values),
+        tuple(_owned(GridFunction, scaled, lam * d.values) for d in member.derivs))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ block for a Mixed base, and the row power sums of the batched 1-d kernel.
 The finish applies the cell volume, the step, the roots and the Lorentz
 weights of the grid, with the float operations of norm_of_values.  Every
 shift past the box is the shift N, whose difference is -f, so the norm of f
-is one more reduced shift.  It allocates no array per shift: real 1-d
-samples with a Lebesgue base are gathered and reduced in batches from one
+is one more reduced shift.  It allocates no array per shift: 1-d samples
+with a Lebesgue base are gathered and reduced in batches from one
 window view, and every other shift reuses one scratch array for its
 difference and absolute value, which is reduced in place.  Every norm
 equals that of a fresh zero-filled difference of the whole array bit for
@@ -149,7 +149,7 @@ def difference(f: GridFunction, axis, h) -> GridFunction:
     """f(. + h e_axis) - f; h must be a (signed) multiple of the axis spacing."""
     _check_axis(axis, f.spec.dim)
     m = _shift_multiple(f, axis, h)
-    return GridFunction(f.spec, _difference_values(f.values, axis, m), f.kind)
+    return GridFunction(f.spec, _difference_values(f.values, axis, m))
 
 
 # Elements of one batch of 1-d difference rows; bounds the kernel's scratch memory.
@@ -157,7 +157,7 @@ _BATCH_ELEMENTS = 1 << 17
 
 
 def _lebesgue_rows(values: np.ndarray, ms, p: float) -> np.ndarray:
-    """Power sums of |f(. + m h) - f| for real 1-d samples at the shifts ms (0 < |m| <= N).
+    """Power sums of |f(. + m h) - f| for 1-d samples at the shifts ms (0 < |m| <= N).
 
     Row m of the window view of the zero-padded samples is the shifted
     function, so each batch is one gather, one subtraction and one reduction.
@@ -212,7 +212,7 @@ def _reductions(vals: np.ndarray, axis, shifts, base: NormSpec) -> list:
     crop's index in a Mixed base's table of inner norms, None otherwise.
     Shift N stands for every shift past the box, whose difference is -f.
     """
-    if vals.ndim == 1 and isinstance(base, Lebesgue) and np.isrealobj(vals):
+    if vals.ndim == 1 and isinstance(base, Lebesgue):
         return [(s, None) for s in _lebesgue_rows(vals, shifts, base.p).tolist()]
     box = _support_box(vals, _crop_axes(base, axis, vals.ndim))
     sub = vals[box]
@@ -221,12 +221,10 @@ def _reductions(vals: np.ndarray, axis, shifts, base: NormSpec) -> list:
         sub = sub.copy(order="K")
     at = box[:base.axis] + box[base.axis + 1:] if isinstance(base, Mixed) else None
     buf = np.empty_like(sub)
-    # complex samples need a real array for the absolute values
-    mag = buf if np.isrealobj(buf) else np.empty_like(sub, dtype=float)
     out = []
     for m in shifts:
-        np.abs(_difference_values(sub, axis, int(m), out=buf), out=mag)
-        out.append((_reduce(mag, base), at))
+        np.abs(_difference_values(sub, axis, int(m), out=buf), out=buf)
+        out.append((_reduce(buf, base), at))
     return out
 
 
@@ -257,7 +255,7 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     zero.  Shift 0 has norm 0.  For |m| >= N, N the points on the axis, the
     difference is exactly -f, so its norm is the norm of f, evaluated once
     per call as the shift N.  Other shifts subtract on the overlap only.  For
-    real 1-d samples and a Lebesgue base they are reduced in batches.
+    1-d samples and a Lebesgue base they are reduced in batches.
 
     Otherwise the call crops f once to the bounding box of its nonzero
     samples along every axis but the shift axis for a Lorentz base, and
@@ -268,9 +266,8 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     of the block into a zero-filled table of the full shape and reduces that
     table, so the outer sums run in the same order.  The block keeps the
     layout of f.values, so the inner sums do too.  The call allocates one
-    scratch array of the block's shape (and one real one for the absolute
-    values of complex samples), and each norm equals that of a fresh
-    difference of the whole array bit for bit.  The crop depends only on the
+    scratch array of the block's shape, and each norm equals that of a
+    fresh difference of the whole array bit for bit.  The crop depends only on the
     data: a function with no zero sample runs on the whole grid.
 
     Each distinct shift is reduced once (norms._reduce) and finished on the

@@ -1,5 +1,6 @@
 """Grids, analytic families, sampling, and seeded corpus generation."""
 
+import dataclasses
 import os
 import pickle
 
@@ -10,8 +11,7 @@ from ineqkit import gridfn, verify
 from ineqkit.gridfn import (FAMILY_IDS, CorpusMember, FamilySpec, GridFunction,
                             GridSpec, corpus_generate, derivative,
                             dilate_family, dilate_member, load_corpus_spec, sample,
-                            sample_member, save_corpus_spec, scale_family,
-                            tail_fraction)
+                            sample_member, save_corpus_spec, tail_fraction)
 
 from conftest import SEED
 
@@ -128,8 +128,14 @@ def test_grid_function_is_frozen_and_validated(grid1):
         GridFunction(grid1, vals)
     with pytest.raises(ValueError):
         GridFunction(grid1, np.ones(grid1.shape[0] // 2))
-    g = f.scaled(-2.0)
-    assert float(g.values[0]) == -2.0 and f.values[0] == 1.0
+
+
+def test_grid_function_rejects_complex_values(grid1):
+    # samples are real: fourier keeps only the half spectrum of each transform
+    for vals in (np.ones(grid1.shape, dtype=complex), np.ones(grid1.shape) + 0.5j):
+        with pytest.raises(ValueError, match="values must be real"):
+            GridFunction(grid1, vals)
+    assert GridFunction(grid1, np.ones(grid1.shape, dtype=np.float32)).values.dtype == np.float64
 
 
 # -- families ----------------------------------------------------------------
@@ -292,9 +298,10 @@ def test_corpus_covers_all_families(grid1):
     assert {m.family.family for m in members} == set(FAMILY_IDS)
 
 
-def test_scale_family_scales_samples(corpus1):
+def test_amplitude_scales_samples(corpus1):
     member = corpus1[0]
-    scaled = sample_member(scale_family(member.family, 3.0), member.grid)
+    fam = member.family
+    scaled = sample_member(dataclasses.replace(fam, amplitude=3.0 * fam.amplitude), member.grid)
     assert np.allclose(scaled.f.values, 3.0 * member.f.values, rtol=1e-12)
     assert np.allclose(scaled.derivs[0].values, 3.0 * member.derivs[0].values,
                        rtol=1e-12)

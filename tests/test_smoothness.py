@@ -127,10 +127,9 @@ def _support_cases(grid):
 def test_difference_norms_match_naive_loop(grid, bases):
     # the six families: compact members crop to their support, Gaussians do not
     fs = [member.f for member in corpus_generate(SEED, 6, grid)] + _support_cases(grid)
-    # complex samples, and Fortran-ordered copies whose sums run in their own layout
-    fs.append(fs[0].scaled(0.5 - 2j))
+    # Fortran-ordered copies, whose sums run in their own layout
     if grid.dim > 1:
-        fs += [GridFunction(grid, np.asfortranarray(f.values)) for f in fs[:9]]
+        fs += [GridFunction(grid, np.asfortranarray(f.values)) for f in fs]
     for text in bases:
         base = parse_norm(text)
         for f in fs:
