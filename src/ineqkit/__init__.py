@@ -3,8 +3,7 @@ Fourier-side functionals, with an inequality registry run over seeded corpora.
 """
 
 from .gridfn import (CorpusMember, FamilySpec, GridFunction, GridSpec,
-                     corpus_generate, derivative, dilate_family, sample,
-                     sample_member)
+                     corpus_generate, dilate_family, sample_member)
 from .norms import (IteratedLorentz, Lebesgue, Lorentz, Mixed, format_norm,
                     iterated_lorentz_norm, lorentz_norm, lp_norm, mixed_norm,
                     norm, parse_norm)
@@ -22,8 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorpusMember", "FamilySpec", "GridFunction", "GridSpec",
-    "corpus_generate", "derivative", "dilate_family", "sample",
-    "sample_member",
+    "corpus_generate", "dilate_family", "sample_member",
     "IteratedLorentz", "Lebesgue", "Lorentz", "Mixed", "format_norm",
     "iterated_lorentz_norm", "lorentz_norm", "lp_norm", "mixed_norm",
     "norm", "parse_norm",

@@ -116,10 +116,9 @@ def _corpora_from_args(args, parser):
     if args.corpus:
         try:
             grid, seed, count = load_corpus_spec(args.corpus)
-            members = corpus_generate(seed, count, grid)
+            families = corpus_generate(seed, count, grid)
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             parser.error(f"cannot load corpus {args.corpus}: {exc}")
-        families = [m.family for m in members]
         return {grid.dim: (families, grid)}, True
     return None, False
 

@@ -8,10 +8,11 @@ form partial derivatives, so discretization error is the only error source.
 Each family defines one field function, which builds the family's factors
 once and forms from them the value and the requested partials.
 
-A corpus is a seeded, reproducible list of family members sampled on a grid
-together with their exact partial derivatives.  Generation draws parameters
-independently of the grid resolution, so the same seed yields the same
-analytic functions on a refined grid.
+A corpus is a seeded, reproducible list of families checked against a grid;
+sample_member samples one of them on a grid together with its exact partial
+derivatives.  Generation draws parameters independently of the grid
+resolution, so the same seed yields the same analytic functions on a refined
+grid.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -32,8 +34,6 @@ __all__ = [
     "GridFunction",
     "FamilySpec",
     "FAMILY_IDS",
-    "sample",
-    "derivative",
     "tail_fraction",
     "CorpusMember",
     "sample_member",
@@ -50,12 +50,14 @@ FORMAT_VERSION = 1
 _DIMS = (1, 2, 3)
 
 
-def _point_count(x) -> int:
-    """x as a point count for GridSpec.box and from_dict; a fractional count is an error."""
-    n = int(x)
-    if n != x:
-        raise ValueError(f"points per axis must be integers, got {x!r}")
-    return n
+def _as_int(x, name: str) -> int:
+    """x as an int for GridSpec.box and the loaders.
+
+    A fractional, infinite or non-numeric x (a JSON null) is a ValueError.
+    """
+    if not (isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x):
+        raise ValueError(f"{name} must be integers, got {x!r}")
+    return int(x)
 
 
 def _check_axis(axis, dim: int) -> None:
@@ -96,7 +98,7 @@ class GridSpec:
     def box(cls, dim, half_extent, points):
         """Build a spec broadcasting scalar half_extent / points over axes."""
         Ls = tuple(float(x) for x in (half_extent if isinstance(half_extent, Iterable) else (half_extent,) * dim))
-        Ns = tuple(_point_count(x)
+        Ns = tuple(_as_int(x, "points per axis")
                    for x in (points if isinstance(points, Iterable) else (points,) * dim))
         return cls(dim, Ls, Ns)
 
@@ -145,7 +147,7 @@ class GridSpec:
     @classmethod
     def from_dict(cls, d) -> "GridSpec":
         return cls(int(d["dim"]), tuple(float(x) for x in d["half_extents"]),
-                   tuple(_point_count(x) for x in d["points"]))
+                   tuple(_as_int(x, "points per axis") for x in d["points"]))
 
 
 @dataclass(frozen=True)
@@ -308,22 +310,22 @@ def _bump_factors(fam: FamilySpec, coords):
     return [_bump(u) for u in us], [_bump_du(u) / w for u, w in zip(us, fam.width)]
 
 
-def _gaussian_field(fam: FamilySpec, coords, axes):
+def _gaussian_field(fam: FamilySpec, coords):
     expo = 0.0
     for x, c, w in zip(coords, fam.center, fam.width):
         expo = expo + ((x - c) / w) ** 2
     value = fam.amplitude * np.exp(-np.pi * expo)
     return value, (value * (-2.0 * np.pi * (coords[k] - fam.center[k])
-                            / (fam.width[k] * fam.width[k])) for k in axes)
+                            / (fam.width[k] * fam.width[k])) for k in range(fam.dim))
 
 
-def _tensor_bump_field(fam: FamilySpec, coords, axes):
+def _tensor_bump_field(fam: FamilySpec, coords):
     bumps, dbumps = _bump_factors(fam, coords)
     return (_product(fam.amplitude, bumps),
-            (_product(fam.amplitude, _swap(bumps, k, dbumps[k])) for k in axes))
+            (_product(fam.amplitude, _swap(bumps, k, dbumps[k])) for k in range(fam.dim)))
 
 
-def _windowed_trig_field(fam: FamilySpec, coords, axes):
+def _windowed_trig_field(fam: FamilySpec, coords):
     arg = fam.phase
     for x, nu in zip(coords, fam.freq):
         arg = arg + 2.0 * np.pi * nu * x
@@ -333,10 +335,10 @@ def _windowed_trig_field(fam: FamilySpec, coords, axes):
     return (fam.amplitude * sin * win,
             (fam.amplitude * (2.0 * np.pi * fam.freq[k] * cos * win
                               + sin * _product(1.0, _swap(bumps, k, dbumps[k])))
-             for k in axes))
+             for k in range(fam.dim)))
 
 
-def _indicator_field(fam: FamilySpec, coords, axes):
+def _indicator_field(fam: FamilySpec, coords):
     m = fam.moll_width
     vs = [(R + m - np.abs(x - c)) / m for x, c, R in zip(coords, fam.center, fam.width)]
     steps, slopes = zip(*(_smoothstep(v) for v in vs))  # per-axis 1-d arrays
@@ -345,10 +347,10 @@ def _indicator_field(fam: FamilySpec, coords, axes):
     return (_product(fam.amplitude, steps),
             (_product(fam.amplitude, _swap(steps, k, slopes[k],
                                            -np.sign(coords[k] - fam.center[k]) / m))
-             for k in axes))
+             for k in range(fam.dim)))
 
 
-def _mollified_cone_field(fam: FamilySpec, coords, axes):
+def _mollified_cone_field(fam: FamilySpec, coords):
     R, m, eps = fam.radius, fam.moll_width, fam.moll_width
     r2 = 0.0
     for x, c in zip(coords, fam.center):
@@ -367,10 +369,10 @@ def _mollified_cone_field(fam: FamilySpec, coords, axes):
     radial = fam.amplitude * (-step / R - q * slope / m)
     del slope
     return (fam.amplitude * q * step,
-            (radial * ((coords[k] - fam.center[k]) / root) for k in axes))
+            (radial * ((coords[k] - fam.center[k]) / root) for k in range(fam.dim)))
 
 
-# family -> (fam, coords, axes) -> (value, iterator over the partials along axes).
+# family -> (fam, coords) -> (value, iterator over the partials along every axis).
 # The partials are built lazily, so a caller can wrap each before the next exists.
 _FIELDS: dict[str, Callable] = {
     "gaussian": _gaussian_field,
@@ -395,7 +397,7 @@ def _support_radius(fam: FamilySpec, axis) -> float:
     return math.sqrt(rho_max * (rho_max + 2.0 * fam.moll_width))
 
 
-# Largest tail_fraction that sample() accepts.
+# Largest tail_fraction that a corpus or a sample accepts.
 TAIL_TOL = 1e-8
 
 
@@ -430,33 +432,11 @@ def _grid_function(grid: GridSpec, vals) -> GridFunction:
     return GridFunction(grid, np.ascontiguousarray(vals, dtype=float))
 
 
-def _sample_fields(fam: FamilySpec, grid: GridSpec, axes):
-    """f and its partials along axes on the grid; reject tail mass above TAIL_TOL.
-
-    Each array is wrapped as soon as it is built and its raw copy dropped, so
-    at most one raw partial is alive at a time.
-    """
+def _check_tail(fam: FamilySpec, grid: GridSpec) -> None:
+    """Reject a family whose tail_fraction on grid exceeds TAIL_TOL."""
     frac = tail_fraction(fam, grid)
     if frac > TAIL_TOL:
         raise ValueError(f"tail mass fraction {frac:.3g} exceeds tolerance {TAIL_TOL:.3g}")
-    value, partials = _FIELDS[fam.family](fam, grid.meshgrid(), axes)
-    f = _grid_function(grid, value)
-    del value
-    return f, tuple(_grid_function(grid, p) for p in partials)
-
-
-def sample(fam: FamilySpec, grid: GridSpec) -> GridFunction:
-    """Sample the family member on the grid; reject tail mass above TAIL_TOL."""
-    return _sample_fields(fam, grid, ())[0]
-
-
-def derivative(fam: FamilySpec, axis, grid: GridSpec) -> GridFunction:
-    """Closed-form partial derivative along axis, sampled on the grid."""
-    if fam.dim != grid.dim:
-        raise ValueError("family and grid dimension mismatch")
-    _check_axis(axis, fam.dim)
-    _, (partial,) = _FIELDS[fam.family](fam, grid.meshgrid(), (axis,))
-    return _grid_function(grid, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -511,25 +491,38 @@ def _draw_family(rng: np.random.Generator, family: str, dim: int, L: float) -> F
 
 
 def sample_member(fam: FamilySpec, grid: GridSpec) -> CorpusMember:
-    """Sample one family and its exact partial derivatives on a grid."""
-    return CorpusMember(fam, *_sample_fields(fam, grid, range(grid.dim)))
+    """Sample one family and its exact partial derivatives on a grid.
+
+    Raises ValueError if the family's tail mass outside the box exceeds
+    TAIL_TOL.  Each array is wrapped as soon as it is built and its raw copy
+    dropped, so at most one raw partial is alive at a time.
+    """
+    _check_tail(fam, grid)
+    value, partials = _FIELDS[fam.family](fam, grid.meshgrid())
+    f = _grid_function(grid, value)
+    del value
+    return CorpusMember(fam, f, tuple(_grid_function(grid, p) for p in partials))
 
 
-def corpus_generate(seed: int, count: int, grid: GridSpec) -> list[CorpusMember]:
-    """Seeded corpus of `count` members cycling through all families.
+def corpus_generate(seed: int, count: int, grid: GridSpec) -> list[FamilySpec]:
+    """Seeded corpus: `count` families cycling through FAMILY_IDS, checked against grid.
 
-    Draws depend on (seed, count, dim, half extents) but not on the point
-    counts, so refining the grid resamples the same analytic functions.
+    Nothing is sampled; sample_member samples a family on a grid.  Each
+    draw's tail mass outside grid's box must stay within TAIL_TOL, else
+    ValueError.  Draws depend on (seed, count, dim, half extents) but not on
+    the point counts, so the same seed gives the same analytic functions on
+    a refined grid.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
     L = min(grid.half_extents)
-    members = []
+    families = []
     for i in range(count):
         fam = _draw_family(rng, FAMILY_IDS[i % len(FAMILY_IDS)], grid.dim, L)
-        members.append(sample_member(fam, grid))
-    return members
+        _check_tail(fam, grid)
+        families.append(fam)
+    return families
 
 
 def dilate_family(fam: FamilySpec, lam: float) -> FamilySpec:
@@ -583,7 +576,8 @@ def load_corpus_spec(path) -> tuple[GridSpec, int, int]:
         doc = json.load(fh)
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported corpus format version {doc.get('format_version')}")
-    return GridSpec.from_dict(doc["grid"]), int(doc["seed"]), int(doc["count"])
+    return (GridSpec.from_dict(doc["grid"]), _as_int(doc["seed"], "seed and count"),
+            _as_int(doc["count"], "seed and count"))
 
 
 def _atomic_write(path, data) -> None:

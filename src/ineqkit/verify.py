@@ -90,8 +90,13 @@ def default_grid(dim: int) -> GridSpec:
 
 
 def default_families(dim: int, seed: int = DEFAULT_SEED, count: Optional[int] = None):
+    """The default dim-D corpus: DEFAULT_COUNTS[dim] families (or count) drawn from seed.
+
+    The families are checked against default_grid(dim) but not sampled;
+    run samples each on the coarse grid and its refinement.
+    """
     count = DEFAULT_COUNTS[dim] if count is None else count
-    return [m.family for m in corpus_generate(seed, count, default_grid(dim))]
+    return corpus_generate(seed, count, default_grid(dim))
 
 
 def empirical_ratio(lhs: float, rhs: float) -> float:
@@ -652,11 +657,8 @@ class InequalityReport:
     passed: bool
     failures: list
     dilation: Optional[dict] = None
-    runtime: float = 0.0
 
     def to_dict(self) -> dict:
-        # runtime deliberately excluded: reports must be deterministic, and
-        # timing lives in the saver's metadata block
         d = {
             "id": self.id, "dim": self.dim, "kind": self.kind,
             "params": self.params, "constant": self.constant,
@@ -680,19 +682,14 @@ def _log2_ratio(a: float, b: float) -> float:
 
 
 def _evaluate(specs, dim, member):
-    """Each entry's (lhs, rhs) on one sampled member, and the seconds it took."""
-    out = []
-    for spec in specs:
-        started = time.perf_counter()
-        sides = spec.evaluate(member, spec.params[dim])
-        out.append((sides, time.perf_counter() - started))
-    return out
+    """Each entry's (lhs, rhs) on one sampled member."""
+    return [spec.evaluate(member, spec.params[dim]) for spec in specs]
 
 
 def _sweep(specs, dim, member):
     """The dilation sweep: the entries on member and on its copies dilated by 1/2 and 2.
 
-    Returns one (fine, down, up) triple of _evaluate results per spec, for
+    Returns one (fine, down, up) triple of (lhs, rhs) pairs per spec, for
     lam = 1, 1/2 and 2.  lam = 1 is member itself, so later entries share
     what it caches.  The copies (gridfn.dilate_member) share f's values, so
     all three share one memo of difference-norm reductions, and a copy only
@@ -720,7 +717,7 @@ def _evaluate_member(task):
     dropped before the fine one is drawn.  On the fine sample the sweep
     entries run first, with their dilated copies (_sweep), so the reduction
     memo is gone before any other entry computes a spectrum.  Returns one
-    (row, seconds) pair per entry, in the order of the specs.
+    row per entry, in the order of the specs.
     """
     specs, dim, index, fam, grid = task
     coarse = _evaluate(specs, dim, sample_member(fam, grid))
@@ -729,11 +726,11 @@ def _evaluate_member(task):
     rest = iter(_evaluate([spec for spec in specs if not spec.dilation_sweep], dim, member))
     del member
     out = []
-    for spec, ((lc, rc), tc) in zip(specs, coarse):
+    for spec, (lc, rc) in zip(specs, coarse):
         if spec.dilation_sweep:
-            ((lf, rf), tf), (down, td), (up, tu) = next(swept)
+            (lf, rf), down, up = next(swept)
         else:
-            (lf, rf), tf = next(rest)
+            lf, rf = next(rest)
         row = {
             "member": index, "family": fam.family,
             "lhs_coarse": float(lc), "rhs_coarse": float(rc),
@@ -743,9 +740,7 @@ def _evaluate_member(task):
             "lhs_refinement": float(empirical_ratio(lf, lc)),
             "rhs_refinement": float(empirical_ratio(rf, rc)),
         }
-        seconds = tc + tf
         if spec.dilation_sweep:
-            seconds += td + tu
             row["dilation_values"] = {
                 "0.5": [float(v) for v in down],
                 "2.0": [float(v) for v in up],
@@ -755,7 +750,7 @@ def _evaluate_member(task):
                                             _log2_ratio(up[0], lf)]
             row["rhs_scaling_exponents"] = [_log2_ratio(rf, down[1]),
                                             _log2_ratio(up[1], rf)]
-        out.append((row, seconds))
+        out.append(row)
     return out
 
 
@@ -792,11 +787,6 @@ def run(specs, dim: int, families, coarse_grid: GridSpec,
     The sweep is a discrete homogeneity check of the registry's exponents:
     the log2 slopes of both sides must match.  On these bit-identical
     samples it measures no discretization error; the coarse/fine drift does.
-
-    A report's runtime, which report.json leaves out, is the time spent in
-    its own entry's evaluator, with its sweep.  A side that entries share is
-    evaluated once per member, so its time falls to the first entry that
-    evaluates it.
     """
     specs = list(specs)
     for spec in specs:
@@ -808,12 +798,10 @@ def run(specs, dim: int, families, coarse_grid: GridSpec,
         return []
     tasks = [(specs, dim, i, fam, coarse_grid) for i, fam in enumerate(families)]
     members = _map_tasks(tasks, jobs)
-    return [_report(spec, dim, [m[k][0] for m in members],
-                    sum(m[k][1] for m in members))
-            for k, spec in enumerate(specs)]
+    return [_report(spec, dim, [m[k] for m in members]) for k, spec in enumerate(specs)]
 
 
-def _report(spec: InequalitySpec, dim: int, rows: list, runtime: float) -> InequalityReport:
+def _report(spec: InequalitySpec, dim: int, rows: list) -> InequalityReport:
     """One entry's verdict, drift and dilation summary from its rows."""
     failures = []
     ratios_c = [r["ratio_coarse"] for r in rows]
@@ -854,7 +842,7 @@ def _report(spec: InequalitySpec, dim: int, rows: list, runtime: float) -> Inequ
         max_ratio_coarse=float(max_c), max_ratio_fine=float(max_f),
         empirical_constant=float(max_f), refinement_drift=float(drift),
         stable=drift <= DRIFT_GATE, passed=passed, failures=failures,
-        dilation=dilation, runtime=runtime)
+        dilation=dilation)
 
 
 def run_all(ids=None, corpora=None, jobs: int = 1):

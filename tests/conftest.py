@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ineqkit.gridfn import GridFunction, GridSpec, corpus_generate
+from ineqkit.gridfn import GridFunction, GridSpec, corpus_generate, sample_member
 
 SEED = 20240817
 
@@ -18,14 +18,19 @@ def grid2():
     return GridSpec.box(2, 4.0, 32)
 
 
+def sampled_corpus(seed, count, grid):
+    """The members of corpus_generate(seed, count, grid), each sampled on grid."""
+    return [sample_member(fam, grid) for fam in corpus_generate(seed, count, grid)]
+
+
 @pytest.fixture(scope="session")
 def corpus1(grid1):
-    return corpus_generate(SEED, 10, grid1)
+    return sampled_corpus(SEED, 10, grid1)
 
 
 @pytest.fixture(scope="session")
 def corpus2(grid2):
-    return corpus_generate(SEED, 6, grid2)
+    return sampled_corpus(SEED, 6, grid2)
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +40,7 @@ def grid3():
 
 @pytest.fixture(scope="session")
 def corpus3(grid3):
-    return corpus_generate(SEED, 4, grid3)
+    return sampled_corpus(SEED, 4, grid3)
 
 
 @pytest.fixture(scope="session")

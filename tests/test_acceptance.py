@@ -24,7 +24,7 @@ from ineqkit.rearrange import (decreasing_rearrangement, distribution_function,
 from ineqkit.verify import (PROBE_LABEL, default_grid, probe, registry_map,
                             run, run_all, save_report)
 
-from conftest import SEED
+from conftest import SEED, sampled_corpus
 
 
 def verdict(num, ok, detail):
@@ -34,8 +34,8 @@ def verdict(num, ok, detail):
 
 def test_criterion_1_rearrangement_exactness():
     started = time.perf_counter()
-    members = (corpus_generate(SEED, 50, default_grid(1))
-               + corpus_generate(SEED, 50, default_grid(2)))
+    members = (sampled_corpus(SEED, 50, default_grid(1))
+               + sampled_corpus(SEED, 50, default_grid(2)))
     mismatches = 0
     worst_mass = 0.0
     for m in members:
@@ -89,7 +89,7 @@ def test_criterion_3_gaussian_self_duality_and_riesz():
 
 
 def test_criterion_4_cone_pointwise_domination():
-    members = corpus_generate(SEED, 20, default_grid(2))
+    members = sampled_corpus(SEED, 20, default_grid(2))
     worst = -math.inf
     for m in members:
         lhs, rhs = cone_derivative_check(m.f)
@@ -107,7 +107,7 @@ def test_criterion_5_dilation_homogeneity():
         entry = registry_map()[eid]
         for dim in sorted(entry.params):
             grid = default_grid(dim)
-            families = [m.family for m in corpus_generate(SEED, 10, grid)]
+            families = corpus_generate(SEED, 10, grid)
             rep = run([entry], dim, families, grid)[0]
             ok = ok and rep.dilation is not None and rep.dilation["matched"]
             gaps.append(f"{eid}@n{dim}:{rep.dilation['max_exponent_gap']:.1e}")
@@ -126,7 +126,7 @@ def test_criterion_6_empirical_constant_stability():
     pinned = registry_map()["embed32"].params[3]
     assert pinned["p"] == 1.0 and pinned["q"] == 1.5
     grids = {1: default_grid(1), 2: default_grid(2), 3: GridSpec.box(3, 4.0, 64)}
-    corpora = {d: [m.family for m in corpus_generate(SEED, 20, g)]
+    corpora = {d: corpus_generate(SEED, 20, g)
                for d, g in grids.items()}
     drifts = []
     n3_runtime = 0.0
@@ -147,7 +147,7 @@ def test_criterion_6_empirical_constant_stability():
 def test_criterion_7_oracle_equivalences():
     # mixed norms against explicit slicing
     grid2 = default_grid(2)
-    members = corpus_generate(SEED, 3, grid2)
+    members = sampled_corpus(SEED, 3, grid2)
     mixed_err = 0.0
     for text in ("Mix(0;Leb(1);Lor(2,1))", "Mix(1;Lor(2,1);Leb(1))"):
         spec = parse_norm(text)

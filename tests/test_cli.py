@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from ineqkit import verify
 from ineqkit.cli import main
-from ineqkit.gridfn import load_corpus_spec
+from ineqkit.gridfn import GridSpec, load_corpus_spec, save_corpus_spec
 from ineqkit.render import CSV_COLUMNS, load_report
 
 
@@ -119,6 +120,35 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch):
             run_cli(*argv)
         assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_corpus_gen_on_a_grid_too_coarse_for_the_draws_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run_cli("corpus", "gen", "--dim", "1", "--count", "6",
+                   "--grid", "8,2", "--out", "x.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tail mass fraction") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("field,value", [
+    ("grid", GridSpec.box(1, 8.0, 2).to_dict()),  # the identity corpus gen refuses
+    ("seed", 7.5),
+    ("count", 3.9),
+    ("seed", None),
+], ids=["coarse-grid", "fractional-seed", "fractional-count", "null-seed"])
+def test_verify_rejects_a_corpus_it_cannot_draw(tmp_path, field, value):
+    corpus = tmp_path / "corpus.json"
+    save_corpus_spec(corpus, GridSpec.box(1, 8.0, 64), verify.DEFAULT_SEED, 6)
+    doc = json.loads(corpus.read_text())
+    doc[field] = value
+    corpus.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "run", "--id", "bound", "--corpus", str(corpus),
+                "--out", str(tmp_path / "out"), "--jobs", "1")
+    assert exc.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
 
 
 def test_dim_mismatch_exits_2(flow_dir, tmp_path):

@@ -23,8 +23,7 @@ from ineqkit.fourier import (SpectralFunction, ball_maximum,
                              frequency_radii, h1_norm, inverse_transform,
                              riesz, sphere_integral, sup_integral_functional,
                              transform, weighted_fourier_integral)
-from ineqkit.gridfn import (FamilySpec, GridFunction, GridSpec, derivative,
-                            sample, sample_member)
+from ineqkit.gridfn import FamilySpec, GridFunction, GridSpec, sample_member
 from ineqkit.norms import Lebesgue, lp_norm, norm_of_values
 from ineqkit.quadrature import segment_integral
 from ineqkit.rearrange import decreasing_rearrangement, double_star
@@ -105,8 +104,8 @@ def test_shift_modulation(grid1):
     fam = FamilySpec("gaussian", 1, 1.0, (0.0,), (1.0,))
     a = 0.75
     shifted = FamilySpec("gaussian", 1, 1.0, (a,), (1.0,))
-    F = transform(sample(fam, grid1))
-    G = transform(sample(shifted, grid1))
+    F = transform(sample_member(fam, grid1).f)
+    G = transform(sample_member(shifted, grid1).f)
     xi = dual_grid(grid1).axis_nodes(0)
     expected = _half(np.exp(-2j * np.pi * xi * a)) * F.values
     assert np.max(np.abs(G.values - expected)) <= 1e-10
@@ -117,7 +116,7 @@ def test_riesz_squares_sum_to_minus_identity():
     # breaks the conjugate symmetry of the odd multiplier
     grid = GridSpec.box(2, 8.0, 128)
     fam = FamilySpec("gaussian", 2, 1.0, (0.0, 0.0), (1.0, 1.0))
-    f = derivative(fam, 0, grid)
+    f = sample_member(fam, grid).derivs[0]
     total = np.zeros(grid.shape)
     for j in range(2):
         total += riesz(riesz(f, j), j).values
@@ -125,13 +124,13 @@ def test_riesz_squares_sum_to_minus_identity():
 
 
 def test_riesz_warns_on_nonzero_mean(grid1):
-    f = sample(FamilySpec("gaussian", 1, 1.0, (0.0,), (1.0,)), grid1)
+    f = sample_member(FamilySpec("gaussian", 1, 1.0, (0.0,), (1.0,)), grid1).f
     with pytest.warns(RuntimeWarning):
         riesz(f, 0)
 
 
 def test_riesz_warns_on_every_call_with_the_same_text(grid2):
-    f = sample(FamilySpec("gaussian", 2, 1.0, (0.5, -0.3), (1.0, 1.2)), grid2)
+    f = sample_member(FamilySpec("gaussian", 2, 1.0, (0.5, -0.3), (1.0, 1.2)), grid2).f
     F = _uncached_transform(f)
     scale = float(np.max(np.abs(F.values)))
     weight = abs(F.values[16, 16]) / scale
@@ -315,7 +314,7 @@ def test_uneven_grids_match_oracles(half_extents, points):
 
 def test_hilbert_transform_in_one_dimension():
     grid = GridSpec.box(1, 8.0, 256)
-    f = derivative(FamilySpec("gaussian", 1, 1.0, (0.3,), (1.0,)), 0, grid)  # mean zero
+    f = sample_member(FamilySpec("gaussian", 1, 1.0, (0.3,), (1.0,)), grid).derivs[0]  # mean zero
     _check_riesz_and_h1(f)
     h = riesz(f, 0)
     # the symbol is -i sign(xi): H maps f' to a function orthogonal to it, and H^2 = -1
@@ -500,7 +499,7 @@ def test_ball_maximum_radius_past_grid_width():
 
 
 def test_cone_derivative_check_holds(grid2):
-    f = sample(FamilySpec("gaussian", 2, 1.0, (0.5, -0.3), (1.0, 1.2)), grid2)
+    f = sample_member(FamilySpec("gaussian", 2, 1.0, (0.5, -0.3), (1.0, 1.2)), grid2).f
     lhs, rhs = cone_derivative_check(f, np.geomspace(0.05, 8.0, 16))
     scale = float(np.max(np.abs(f.values)))
     assert np.all(lhs <= rhs + 1e-6 * scale)
@@ -838,7 +837,8 @@ def test_weighted_fourier_integral_matches_full_grid_rule(half_extents, points):
     n = grid.dim
     fam = FamilySpec("gaussian", n, 1.0, tuple(L / 10 for L in half_extents),
                      tuple(L / 5 for L in half_extents))
-    for f in (sample(fam, grid), derivative(fam, 0, grid)):
+    member = sample_member(fam, grid)
+    for f in (member.f, member.derivs[0]):
         F = transform(f)
         for gamma in (1 - n, -n, 0, 0.5):
             got = weighted_fourier_integral(F, gamma)

@@ -1,6 +1,8 @@
 """Grids, analytic families, sampling, and seeded corpus generation."""
 
 import dataclasses
+import json
+import math
 import os
 import pickle
 
@@ -9,11 +11,11 @@ import pytest
 
 from ineqkit import gridfn, verify
 from ineqkit.gridfn import (FAMILY_IDS, CorpusMember, FamilySpec, GridFunction,
-                            GridSpec, corpus_generate, derivative,
-                            dilate_family, dilate_member, load_corpus_spec, sample,
-                            sample_member, save_corpus_spec, tail_fraction)
+                            GridSpec, corpus_generate, dilate_family, dilate_member,
+                            load_corpus_spec, sample_member, save_corpus_spec,
+                            tail_fraction)
 
-from conftest import SEED
+from conftest import SEED, sampled_corpus
 
 
 # -- grid specs --------------------------------------------------------------
@@ -151,7 +153,7 @@ def test_sampled_families_are_bounded_by_amplitude(corpus1, corpus2):
 def test_derivatives_match_finite_differences(corpus1, corpus2):
     # analytic derivatives vs. second-order differences (one-sided at the
     # ends): O(h^2) agreement; the 3-D members cover all six families
-    corpus3 = corpus_generate(SEED, 6, GridSpec.box(3, 4.0, 32))
+    corpus3 = sampled_corpus(SEED, 6, GridSpec.box(3, 4.0, 32))
     for member in corpus1 + corpus2 + corpus3:
         for axis in range(member.dim):
             exact = member.derivs[axis].values
@@ -160,18 +162,6 @@ def test_derivatives_match_finite_differences(corpus1, corpus2):
             scale = max(np.max(np.abs(exact)), 1e-12)
             # families have curvature up to ~(2 pi / width)^2; generous cap
             assert np.max(np.abs(exact - approx)) <= 40.0 * step ** 2 * scale
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_sample_member_matches_sample_and_derivative(dim):
-    grid = GridSpec.box(dim, 4.0, 16)
-    members = corpus_generate(SEED, len(FAMILY_IDS), grid)
-    assert {m.family.family for m in members} == set(FAMILY_IDS)
-    for m in members:
-        assert np.array_equal(m.f.values, sample(m.family, grid).values)
-        assert len(m.derivs) == dim
-        for k, d in enumerate(m.derivs):
-            assert np.array_equal(d.values, derivative(m.family, k, grid).values)
 
 
 # The smooth step as gridfn computed it before it shared one exp per side
@@ -247,22 +237,11 @@ def test_samples_match_the_three_exp_helpers(dim, monkeypatch):
             assert np.array_equal(a.values, b.values)
 
 
-def test_derivative_rejects_bad_axis(corpus2):
-    fam, grid = corpus2[0].family, corpus2[0].grid
-    for axis in (1.0, -1, 2):
-        with pytest.raises(ValueError, match="out of range"):
-            derivative(fam, axis, grid)
-    assert np.array_equal(derivative(fam, np.int64(1), grid).values,
-                          corpus2[0].derivs[1].values)
-
-
-def test_derivative_rejects_dimension_mismatch():
+def test_sample_member_rejects_dimension_mismatch():
     fam = FamilySpec("gaussian", 2, 1.0, (0.0, 0.0), (1.0, 1.0))
     grid = GridSpec.box(3, 4.0, 8)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        sample(fam, grid)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        derivative(fam, 0, grid)
+        sample_member(fam, grid)
 
 
 def test_tail_fraction_gates_sampling():
@@ -271,31 +250,26 @@ def test_tail_fraction_gates_sampling():
     assert tail_fraction(centered, grid) < 1e-10
     off_edge = FamilySpec("gaussian", 1, 1.0, (7.5,), (2.0,))
     assert tail_fraction(off_edge, grid) > 1e-8
-    with pytest.raises(ValueError):
-        sample(off_edge, grid)
+    with pytest.raises(ValueError, match="tail mass fraction"):
+        sample_member(off_edge, grid)
+    with pytest.raises(ValueError, match="tail mass fraction"):
+        corpus_generate(SEED, 6, GridSpec.box(1, 8.0, 2))
 
 
 def test_corpus_generation_is_deterministic(grid1):
     a = corpus_generate(SEED, 6, grid1)
-    b = corpus_generate(SEED, 6, grid1)
-    assert [m.family for m in a] == [m.family for m in b]
-    for ma, mb in zip(a, b):
-        assert np.array_equal(ma.f.values, mb.f.values)
-    c = corpus_generate(SEED + 1, 6, grid1)
-    assert [m.family for m in c] != [m.family for m in a]
+    assert a == corpus_generate(SEED, 6, grid1)
+    assert corpus_generate(SEED + 1, 6, grid1) != a
 
 
 def test_corpus_draws_ignore_point_count(grid1):
     # refining the grid resamples the same analytic functions
     fine = grid1.refine(2)
-    coarse = corpus_generate(SEED, 8, grid1)
-    refined = corpus_generate(SEED, 8, fine)
-    assert [m.family for m in coarse] == [m.family for m in refined]
+    assert corpus_generate(SEED, 8, grid1) == corpus_generate(SEED, 8, fine)
 
 
 def test_corpus_covers_all_families(grid1):
-    members = corpus_generate(SEED, 24, grid1)
-    assert {m.family.family for m in members} == set(FAMILY_IDS)
+    assert {fam.family for fam in corpus_generate(SEED, 24, grid1)} == set(FAMILY_IDS)
 
 
 def test_amplitude_scales_samples(corpus1):
@@ -313,7 +287,7 @@ def test_dilate_family_matches_rescaled_grid(corpus2):
     for lam in (0.5, 2.0):
         shrunk = GridSpec(2, tuple(L / lam for L in member.grid.half_extents),
                           member.grid.points)
-        g = sample(dilate_family(member.family, lam), shrunk)
+        g = sample_member(dilate_family(member.family, lam), shrunk).f
         assert np.array_equal(g.values, member.f.values)
 
 
@@ -356,6 +330,25 @@ def test_corpus_spec_file_roundtrip(tmp_path, grid2):
     save_corpus_spec(path, grid2, SEED, 12)
     grid, seed, count = load_corpus_spec(path)
     assert grid == grid2 and seed == SEED and count == 12
+    doc = json.loads(path.read_text())
+    doc["seed"] = float(SEED)  # an integral float loads as its int
+    path.write_text(json.dumps(doc))
+    assert load_corpus_spec(path) == (grid2, SEED, 12)
+
+
+@pytest.mark.parametrize("field,value", [("seed", 7.5), ("count", 3.9),
+                                         ("seed", None), ("count", math.inf)])
+def test_corpus_spec_rejects_a_seed_or_count_that_is_not_an_integer(tmp_path, grid2,
+                                                                     field, value):
+    # a fractional value was truncated (seed 7.5 ran as seed 7), and a null or
+    # an infinity raised TypeError or OverflowError
+    path = tmp_path / "corpus.json"
+    save_corpus_spec(path, grid2, 7, 3)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="seed and count must be integers"):
+        load_corpus_spec(path)
 
 
 def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from conftest import SEED
 @pytest.fixture(scope="module")
 def report_doc(tmp_path_factory):
     grid = GridSpec.box(1, 8.0, 128)
-    families = [m.family for m in corpus_generate(SEED, 3, grid)]
+    families = corpus_generate(SEED, 3, grid)
     reports = [run([registry_map()[name]], 1, families, grid)[0]
                for name in ("bound", "omega1")]
     path = tmp_path_factory.mktemp("doc") / "report.json"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ineqkit import smoothness
-from ineqkit.gridfn import FamilySpec, GridFunction, GridSpec, corpus_generate, sample_member
+from ineqkit.gridfn import FamilySpec, GridFunction, GridSpec, sample_member
 from ineqkit.norms import (IteratedLorentz, Lebesgue, Mixed, lp_norm, norm_of_values,
                            parse_norm)
 from ineqkit.smoothness import (BesovSpec, besov_seminorm, difference,
@@ -14,7 +14,7 @@ from ineqkit.smoothness import (BesovSpec, besov_seminorm, difference,
                                 ulyanov_tail)
 from ineqkit.gridfn import dilate_family, dilate_member
 
-from conftest import SEED
+from conftest import SEED, sampled_corpus
 
 
 def manual_difference(values, m):
@@ -126,7 +126,7 @@ def _support_cases(grid):
 ])
 def test_difference_norms_match_naive_loop(grid, bases):
     # the six families: compact members crop to their support, Gaussians do not
-    fs = [member.f for member in corpus_generate(SEED, 6, grid)] + _support_cases(grid)
+    fs = [member.f for member in sampled_corpus(SEED, 6, grid)] + _support_cases(grid)
     # Fortran-ordered copies, whose sums run in their own layout
     if grid.dim > 1:
         fs += [GridFunction(grid, np.asfortranarray(f.values)) for f in fs]
@@ -153,7 +153,7 @@ def test_difference_norms_from_a_shared_memo_match_fresh_calls(grid):
         texts += [f"Mix({k};{inner};{outer})" for k in range(grid.dim)
                   for inner, outer in (("Leb(1)", "Lor(1.5,1)"), ("Lor(2,1.5)", "Leb(1.5)"))]
     bases = [parse_norm(text) for text in texts]
-    for member in corpus_generate(SEED, 6, grid):
+    for member in sampled_corpus(SEED, 6, grid):
         for lam in (1.0, 0.5, 2.0):
             # lam = 1 is the fine sample itself; each fresh copy has no memo
             copy = member if lam == 1.0 else dilate_member(member, lam)
@@ -171,7 +171,7 @@ def test_difference_norms_from_a_shared_memo_match_fresh_calls(grid):
         assert memo is vars(member.f)["_reductions"]
         smoothness._share_reductions(member.f, None)
         assert "_reductions" not in vars(member.f)
-        other = corpus_generate(SEED + 1, 1, grid)[0].f
+        other = sampled_corpus(SEED + 1, 1, grid)[0].f
         with pytest.raises(ValueError, match="one values array"):
             smoothness._share_reductions(other, member.f)
 

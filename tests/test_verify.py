@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ineqkit.gridfn import FamilySpec, GridSpec, corpus_generate, sample_member
-from ineqkit import fourier, verify
+from ineqkit import fourier, gridfn, verify
 from ineqkit.norms import (Lebesgue, Lorentz, Mixed, iterated_lorentz_norm,
                            lorentz_norm, lp_norm, norm, norm_of_values, parse_norm)
 from ineqkit.smoothness import BesovSpec, besov_seminorm
@@ -19,7 +19,7 @@ from ineqkit.verify import (InequalityReport, InequalitySpec, default_families,
                             probe, registry, registry_map, run, run_all,
                             save_probe, save_report)
 
-from conftest import SEED
+from conftest import SEED, sampled_corpus
 
 
 # -- registry shape ----------------------------------------------------------
@@ -91,7 +91,7 @@ def test_ratio_invariant_under_amplitude_scaling(entry_id, corpus1, corpus2, cor
 
 
 def test_grad_norm_is_cached_per_p(monkeypatch, grid2):
-    member = corpus_generate(SEED, 2, grid2)[1]
+    member = sample_member(corpus_generate(SEED, 2, grid2)[1], grid2)
     grad = np.sqrt(sum(d.values ** 2 for d in member.derivs))
     specs = []
     real = verify.norm_of_values
@@ -118,7 +118,7 @@ def test_shared_h1_norms_are_evaluated_once_per_member(monkeypatch):
 
     monkeypatch.setattr(fourier, "h1_norm", counting)
     grid = GridSpec.box(2, 4.0, 16)
-    families = [m.family for m in corpus_generate(SEED, 2, grid)]
+    families = corpus_generate(SEED, 2, grid)
     ids = ("H_ineq", "oberlin", "embed321", "hardy1", "supH")
     run([registry_map()[i] for i in ids], 2, families, grid)
     assert len(calls) == 2 * 2 * 2  # members x grids x derivatives
@@ -137,7 +137,7 @@ def test_zero_function_passes_assert_entries(grid1):
 @pytest.fixture(scope="module")
 def small_run():
     grid = GridSpec.box(1, 8.0, 128)
-    families = [m.family for m in corpus_generate(SEED, 4, grid)]
+    families = corpus_generate(SEED, 4, grid)
     return run([registry_map()["bound"]], 1, families, grid)[0]
 
 
@@ -162,7 +162,7 @@ def test_report_fields(small_run):
 def test_run_evaluates_the_specs_it_is_given(jobs):
     # a spec need not be the registry's copy: its params and id are used as given
     grid = GridSpec.box(1, 8.0, 128)
-    members = corpus_generate(SEED, 3, grid)
+    members = sampled_corpus(SEED, 3, grid)
     bound = registry_map()["bound"]
     embed1 = {"p": 2.0, "q": 3.0, "s": 1.0 - (1 / 2.0 - 1 / 3.0)}
     specs = [dataclasses.replace(bound, params={1: {"p": 3.0}}),
@@ -184,7 +184,7 @@ def test_run_evaluates_the_specs_it_is_given(jobs):
 
 def test_run_is_deterministic_and_pool_safe():
     grid = GridSpec.box(1, 8.0, 128)
-    families = [m.family for m in corpus_generate(SEED, 4, grid)]
+    families = corpus_generate(SEED, 4, grid)
     entry = registry_map()["omega1"]
     serial = run([entry], 1, families, grid, jobs=1)[0]
     pooled = run([entry], 1, families, grid, jobs=2)[0]
@@ -205,7 +205,7 @@ MULTI_ENTRY_CASES = [
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("dim,grid,ids", MULTI_ENTRY_CASES)
 def test_multi_entry_run_matches_one_entry_runs(dim, grid, ids, jobs):
-    families = [m.family for m in corpus_generate(SEED, 3, grid)]
+    families = corpus_generate(SEED, 3, grid)
     specs = [registry_map()[i] for i in ids]
     reports = run(specs, dim, families, grid, jobs=jobs)
     assert [r.id for r in reports] == list(ids)
@@ -265,17 +265,36 @@ def test_run_all_makes_one_run_per_dimension(monkeypatch, grid1, grid2):
         return real_run(specs, dim, *args, **kwargs)
 
     monkeypatch.setattr(verify, "run", counting_run)
-    corpora = {1: ([m.family for m in corpus_generate(SEED, 2, grid1)], grid1),
-               2: ([m.family for m in corpus_generate(SEED, 2, grid2)], grid2)}
+    corpora = {1: (corpus_generate(SEED, 2, grid1), grid1),
+               2: (corpus_generate(SEED, 2, grid2), grid2)}
     reports, _ = run_all(ids=["omega1", "bound", "embed1", "const1"], corpora=corpora)
     assert calls == [(1, ["bound", "embed1", "omega1"]), (2, ["const1", "embed1"])]
     assert [(r.id, r.dim) for r in reports] == [
         ("bound", 1), ("const1", 2), ("embed1", 1), ("embed1", 2), ("omega1", 1)]
 
 
+def test_each_family_is_sampled_once_per_grid(monkeypatch):
+    # drawing a corpus samples nothing; the run samples each member once on
+    # the coarse grid and once on its refinement
+    calls = []
+
+    def counting(fam, grid):
+        calls.append((fam, grid))
+        return sample_member(fam, grid)
+
+    monkeypatch.setattr(gridfn, "sample_member", counting)
+    monkeypatch.setattr(verify, "sample_member", counting)
+    corpora = {d: (default_families(d, count=2), verify.default_grid(d)) for d in (1, 2, 3)}
+    assert calls == []
+    run_all(ids=["bound", "pelcz"], corpora=corpora, jobs=1)
+    pairs = {(fam, g) for families, grid in corpora.values()
+             for fam in families for g in (grid, grid.refine(2))}
+    assert len(calls) == len(pairs) == 12 and set(calls) == pairs
+
+
 def test_dilation_sweep_reports_matched_exponents():
     grid = GridSpec.box(1, 8.0, 128)
-    families = [m.family for m in corpus_generate(SEED, 3, grid)]
+    families = corpus_generate(SEED, 3, grid)
     rep = run([registry_map()["embed1"]], 1, families, grid)[0]
     assert rep.dilation is not None
     assert rep.dilation["factors"] == [0.5, 1.0, 2.0]
@@ -287,7 +306,7 @@ def test_dilation_sweep_reports_matched_exponents():
 
 
 def test_run_all_subset_and_unknown_ids(grid1):
-    families = [m.family for m in corpus_generate(SEED, 3, grid1)]
+    families = corpus_generate(SEED, 3, grid1)
     reports, metadata = run_all(ids=["bound", "omega1"],
                                 corpora={1: (families, grid1)})
     assert [r.id for r in reports] == ["bound", "omega1"]
@@ -329,7 +348,7 @@ def test_escalate_family_sharpens():
 
 def test_probe_structure(tmp_path):
     grid = GridSpec.box(2, 4.0, 16)
-    families = [m.family for m in corpus_generate(SEED, 2, grid)]
+    families = corpus_generate(SEED, 2, grid)
     out = probe("obertype_n2", depth=1, families=families, grid=grid)
     assert out["label"] == "OPEN QUESTION — no asserted direction"
     assert out["depth"] == 1 and len(out["levels"]) == 2
@@ -555,7 +574,7 @@ def test_every_sides_entry_has_a_reference():
 def test_sides_equal_the_evaluators_they_replaced(entry_id, dim):
     entry = registry_map()[entry_id]
     params = entry.params[dim]
-    members = corpus_generate(SEED, 6, ORACLE_GRIDS[dim])
+    members = sampled_corpus(SEED, 6, ORACLE_GRIDS[dim])
     assert len({m.family.family for m in members}) == 6
     for member in members:
         assert entry.evaluate(member, params) == REFERENCE[entry_id](member, params)
