@@ -21,8 +21,10 @@ sign.
 
 On top of the transform: Riesz multipliers and the H^1 norm, the cone
 comparison of the Poisson extension's t-derivative with its conjugate
-pieces, per-axis slab suprema of |F|, and sphere / dyadic-shell / cube-face
-functionals of the spectrum.
+pieces, per-axis slab suprema of |F|, and dyadic-shell / cube-face /
+weighted functionals of the spectrum.  The inverse (_inverse), the cone's
+ball maximum (_ball_maximum) and the sphere integral at given radii
+(_shell_values of _sphere_rows) are private kernels of those functionals.
 
 Against the same rules on the full spectrum, the slab-sup integral and the
 mean-zero warning are equal bit for bit: a max is exact, and each
@@ -63,14 +65,11 @@ __all__ = [
     "SpectralFunction",
     "dual_grid",
     "transform",
-    "inverse_transform",
     "frequency_radii",
     "riesz",
     "h1_norm",
-    "ball_maximum",
     "cone_derivative_check",
     "sup_integral_functional",
-    "sphere_integral",
     "dyadic_shell_terms",
     "dyadic_shell_sum",
     "cube_shell_sum",
@@ -200,11 +199,6 @@ def _inverse(half: np.ndarray, spec: GridSpec, c=1.0) -> np.ndarray:
     return np.divide(vals, spec.cell_volume, out=vals)
 
 
-def inverse_transform(F: SpectralFunction) -> GridFunction:
-    spec = dual_grid(F.spec)
-    return _owned(GridFunction, spec, _inverse(F.values.copy(), spec))
-
-
 def frequency_radii(spec: GridSpec) -> np.ndarray:
     """|xi| on the half spectrum of the (dual) grid spec."""
     r = sum(x ** 2 for x in _half_mesh(spec))
@@ -272,7 +266,7 @@ def _default_time_grid(spec: GridSpec) -> np.ndarray:
     return np.geomspace(lo, hi, 64)
 
 
-def ball_maximum(values: np.ndarray, spec: GridSpec, radius: float) -> np.ndarray:
+def _ball_maximum(values: np.ndarray, spec: GridSpec, radius: float) -> np.ndarray:
     """Pointwise max of values over the Euclidean ball of the given radius.
 
     The ball is sampled at grid nodes; nodes outside the box do not
@@ -321,18 +315,17 @@ def ball_maximum(values: np.ndarray, spec: GridSpec, radius: float) -> np.ndarra
     return out
 
 
-def cone_derivative_check(f: GridFunction, t_grid=None) -> tuple[np.ndarray, np.ndarray]:
+def cone_derivative_check(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     """Cone sup of |du/dt| vs. the summed cone sups of its conjugate pieces.
 
     u is the harmonic extension of f; the t-derivative equals minus the sum
     over j of P_t applied to the Riesz transform of the j-th derivative, so
     the left array is dominated by the right one up to rounding.  Both sides
-    use the same sampled cone; derivatives are spectral.  The symbols that
-    do not depend on t are built once; each t multiplies the half spectrum
-    and runs irfftn.
+    use the same sampled cone: 64 geometric heights t in [min spacing / 4,
+    8 max extent] (_default_time_grid); derivatives are spectral.  The
+    symbols that do not depend on t are built once; each t multiplies the
+    half spectrum and runs irfftn.
     """
-    if t_grid is None:
-        t_grid = _default_time_grid(f.spec)
     F = transform(f)
     spec = f.spec
     r = frequency_radii(F.spec)
@@ -344,13 +337,13 @@ def cone_derivative_check(f: GridFunction, t_grid=None) -> tuple[np.ndarray, np.
                 for x in _half_mesh(F.spec)]
     lhs = np.zeros(spec.shape)
     rhs_parts = [np.zeros(spec.shape) for _ in range(spec.dim)]
-    for t in t_grid:
+    for t in _default_time_grid(spec):
         pt = np.exp(slope * t)
         u_t = np.abs(_inverse(F.values * (slope * pt), spec))
-        np.maximum(lhs, ball_maximum(u_t, spec, t), out=lhs)
+        np.maximum(lhs, _ball_maximum(u_t, spec, t), out=lhs)
         for sym, part in zip(syms, rhs_parts):
             v = np.abs(_inverse(F.values * (sym * pt), spec))
-            np.maximum(part, ball_maximum(v, spec, t), out=part)
+            np.maximum(part, _ball_maximum(v, spec, t), out=part)
     return lhs, sum(rhs_parts)
 
 
@@ -583,17 +576,6 @@ def _shell_values(F: SpectralFunction, rows: _ShellRows) -> np.ndarray:
     return np.add.reduceat(terms, rows.starts) * rows.radii ** (F.spec.dim - 1)
 
 
-def sphere_integral(F: SpectralFunction, r) -> float:
-    """Surface integral of |F| over the sphere of radius r.
-
-    Builds the one-row operator of _sphere_rows for r: multilinear in the
-    cells, 0 outside the grid, like map_coordinates(order=1,
-    mode="constant") on the full spectrum, to which it is equal up to the
-    last bits.
-    """
-    return float(_shell_values(F, _sphere_rows(F.spec, np.array([r], dtype=float)))[0])
-
-
 def _shell_range(spec: GridSpec) -> range:
     """The k with one cell <= 2^k and 2^(k+1) <= the least half extent of the (dual) grid spec."""
     lo = math.ceil(math.log2(max(spec.spacing)))
@@ -622,8 +604,9 @@ def dyadic_shell_terms(F: SpectralFunction):
     completed here.  The top shell's largest radii reach past the last
     positive node (N/2 - 1) h, where the points of a sphere count 0.  All
     radii are read from one cached operator per dual grid, so each
-    sphere integral equals sphere_integral at that radius up to the last
-    bits, and the map_coordinates rule to 1e-13 relative.
+    sphere integral equals the one-row operator of _sphere_rows at that
+    radius up to the last bits, and the map_coordinates rule to 1e-13
+    relative.
     """
     ks = np.array(_shell_range(F.spec))
     sums = _shell_values(F, _shell_operator(F.spec))

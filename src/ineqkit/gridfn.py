@@ -53,11 +53,17 @@ _DIMS = (1, 2, 3)
 def _as_int(x, name: str) -> int:
     """x as an int for GridSpec.box and the loaders.
 
-    A fractional, infinite or non-numeric x (a JSON null) is a ValueError.
+    A fractional, infinite or non-numeric x (a JSON null or boolean) is a
+    ValueError.
     """
-    if not (isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x):
+    if not (_is_number(x) and math.isfinite(x) and int(x) == x):
         raise ValueError(f"{name} must be integers, got {x!r}")
     return int(x)
+
+
+def _is_number(x) -> bool:
+    """A real number that is not a bool: JSON true and false are not numbers here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _check_axis(axis, dim: int) -> None:
@@ -146,8 +152,16 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d) -> "GridSpec":
-        return cls(int(d["dim"]), tuple(float(x) for x in d["half_extents"]),
-                   tuple(_as_int(x, "points per axis") for x in d["points"]))
+        """The spec to_dict wrote; a bad field is a ValueError, a missing one a KeyError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a grid must be an object, got {d!r}")
+        Ls, Ns = d["half_extents"], d["points"]
+        if not (isinstance(Ls, list) and isinstance(Ns, list)):
+            raise ValueError("half_extents and points must be lists")
+        if not all(_is_number(L) for L in Ls):
+            raise ValueError(f"half extents must be numbers, got {Ls!r}")
+        return cls(_as_int(d["dim"], "dim"), tuple(float(L) for L in Ls),
+                   tuple(_as_int(N, "points per axis") for N in Ns))
 
 
 @dataclass(frozen=True)
@@ -572,10 +586,14 @@ def save_corpus_spec(path, grid: GridSpec, seed: int, count: int) -> None:
 
 
 def load_corpus_spec(path) -> tuple[GridSpec, int, int]:
+    """(grid, seed, count) from a corpus file; bad fields raise ValueError, missing ones KeyError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported corpus format version {doc.get('format_version')}")
+    if not isinstance(doc, dict):
+        raise ValueError("a corpus file must hold a JSON object")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"unsupported corpus format version {version!r}")
     return (GridSpec.from_dict(doc["grid"]), _as_int(doc["seed"], "seed and count"),
             _as_int(doc["count"], "seed and count"))
 

@@ -65,13 +65,6 @@ class RaySamples:
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "values", values)
 
-    def map(self, func, **flags) -> "RaySamples":
-        """New RaySamples with values func(ts, values); flags override."""
-        merged = {"extrapolate_low": self.extrapolate_low,
-                  "extrapolate_high": self.extrapolate_high}
-        merged.update(flags)
-        return RaySamples(self.ts, func(self.ts, self.values), **merged)
-
 
 def _edge_exponent(t0, v0, t1, v1) -> float:
     # constant extrapolation when a zero endpoint defeats the log-log fit
@@ -140,8 +133,8 @@ def hardy_check(ray: RaySamples, lam: float, p: float) -> tuple[float, float]:
     # extrapolation on is safe: a zero edge value shuts the tail off
     lhs_ray = RaySamples(ray.ts, (ray.ts ** (lam - 1.0) * cum) ** p / ray.ts,
                          extrapolate_low=True, extrapolate_high=True)
-    rhs_ray = ray.map(lambda t, v: (t ** lam * v) ** p / t,
-                      extrapolate_low=True, extrapolate_high=True)
+    rhs_ray = RaySamples(ray.ts, (ray.ts ** lam * ray.values) ** p / ray.ts,
+                         extrapolate_low=True, extrapolate_high=True)
     lhs = ray_integral(lhs_ray) ** (1.0 / p)
     rhs_int = ray_integral(rhs_ray)
     return float(lhs), float(rhs_int ** (1.0 / p) / (1.0 - lam))

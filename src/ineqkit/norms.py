@@ -1,6 +1,6 @@
 """Lebesgue, Lorentz, mixed, and iterated-rearrangement norms of grid functions.
 
-Norm specifications form a tiny grammar, also used on the command line:
+Norm specifications form a tiny grammar, also used in the registry's params:
 
     Leb(p)            Lebesgue norm with exponent p
     Lor(p,r)          Lorentz norm, first exponent p, second exponent r
@@ -38,11 +38,9 @@ __all__ = [
     "IteratedLorentz",
     "NormSpec",
     "parse_norm",
-    "format_norm",
     "norm",
     "norm_of_values",
     "lp_norm",
-    "lorentz_norm",
     "mixed_norm",
     "iterated_lorentz_norm",
 ]
@@ -149,22 +147,6 @@ def _numbers(text: str, count: int):
         vals.append(float(m.group(1)))
         rest = rest[m.end():]
     return tuple(vals), rest
-
-
-def format_norm(spec: NormSpec) -> str:
-    if isinstance(spec, Lebesgue):
-        return f"Leb({_fmt(spec.p)})"
-    if isinstance(spec, Lorentz):
-        return f"Lor({_fmt(spec.p)},{_fmt(spec.r)})"
-    if isinstance(spec, IteratedLorentz):
-        return f"IterLor({_fmt(spec.p)},{_fmt(spec.r)})"
-    if isinstance(spec, Mixed):
-        return f"Mix({spec.axis};{format_norm(spec.inner)};{format_norm(spec.outer)})"
-    raise TypeError(f"not a norm spec: {spec!r}")
-
-
-def _fmt(x: float) -> str:
-    return repr(int(x)) if float(x).is_integer() else repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +278,7 @@ def _finish(part, grid, spec: NormSpec, at=None):
 
 def lp_norm(f: GridFunction, p: float) -> float:
     """Discrete Lebesgue norm (cell sums, exact for the sampled step function)."""
-    Lebesgue(p)  # validate
-    return _lebesgue_root(_power_sum(np.abs(f.values).ravel(), p), f.cell_volume, p)
-
-
-def lorentz_norm(f: GridFunction, p: float, r: float) -> float:
-    """Lorentz norm via the closed-form integral of the sorted step profile."""
-    Lorentz(p, r)  # validate
-    return _lorentz_root(_sorted_powers(np.abs(f.values).ravel(), r), f.cell_volume, p, r)
+    return norm_of_values(f.values, f.spec, Lebesgue(p))
 
 
 def mixed_norm(f: GridFunction, spec: Mixed) -> float:

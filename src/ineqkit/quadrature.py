@@ -1,10 +1,15 @@
-"""Quadrature helpers for integrals against dt/t on (0, oo).
+"""Quadrature helpers on (0, oo): a geometric midpoint rule and a segment model.
 
-Most functionals in this package integrate a positive integrand against the
-multiplicative measure dt/t over a finite window [lo, hi].  We discretize the
-window geometrically and use the midpoint rule in log coordinates, which is
-exact for pure powers up to the usual O(step^2) midpoint error and keeps the
-node count independent of the window's dynamic range.
+log_midpoint_nodes serves the integrals against the multiplicative measure
+dt/t over a finite window [lo, hi] (the h-integrals of smoothness).  It
+discretizes the window geometrically and uses the midpoint rule in log
+coordinates, which is exact for pure powers up to the usual O(step^2)
+midpoint error and keeps the node count independent of the window's dynamic
+range.
+
+segment_integral integrates a function known at two nodes against dt, under
+the power-law chord through them (hardyops' ray integrals, the t-integral of
+fourier.sup_integral_functional); powerlaw_exponent is that chord's slope.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ def powerlaw_exponent(t0, v0, t1, v1):
     return None
 
 
-def segment_integral(t0, t1, v0, v1, shift=0.0):
-    """Integral of v(t) * t**shift over [t0, t1] for sampled endpoints.
+def segment_integral(t0, t1, v0, v1):
+    """Integral of v(t) over [t0, t1] for sampled endpoints.
 
     Between nodes the sampled function is modelled as a power law (log-log
     linear), which integrates pure powers exactly; if either endpoint is zero
@@ -56,27 +61,20 @@ def segment_integral(t0, t1, v0, v1, shift=0.0):
     if t1 <= t0:
         return 0.0
     if not (v0 > 0 and v1 > 0):
-        # linear chord a + b t, times t**shift, integrated exactly
+        # linear chord a + b t, integrated exactly
         b = (v1 - v0) / (t1 - t0)
         a = v0 - b * t0
-        return a * _power_integral(t0, t1, shift) + b * _power_integral(t0, t1, shift + 1.0)
-    # v(t) * t**shift is a power law with endpoint masses A = v0 * t0**(shift+1)
-    # and B = A * e**u; writing the integral as A * lnr * expm1(u)/u keeps it
-    # well conditioned for every exponent, including the near -1 chords where
-    # the textbook (B - A)/(expo + 1) form cancels catastrophically
+        return a * (t1 - t0) + b * ((t1 ** 2.0 - t0 ** 2.0) / 2.0)
+    # v is a power law with endpoint masses A = v0 * t0 and B = A * e**u;
+    # writing the integral as A * lnr * expm1(u)/u keeps it well conditioned
+    # for every exponent, including the near -1 chords where the textbook
+    # (B - A)/(expo + 1) form cancels catastrophically
     lnr = np.log(t1 / t0)
-    u = np.log(v1 / v0) + (shift + 1.0) * lnr
+    u = np.log(v1 / v0) + lnr
     if u > 709.0:
-        return v1 * t1 ** (shift + 1.0) * lnr / u
+        return v1 * t1 * lnr / u
     if u < -709.0:
-        return v0 * t0 ** (shift + 1.0) * lnr / -u
+        return v0 * t0 * lnr / -u
     if u == 0.0:
-        return v0 * t0 ** (shift + 1.0) * lnr
-    return v0 * t0 ** (shift + 1.0) * lnr * np.expm1(u) / u
-
-
-def _power_integral(t0, t1, expo):
-    """Integral of t**expo over [t0, t1], 0 < t0 < t1."""
-    if abs(expo + 1.0) < 1e-12:
-        return np.log(t1 / t0)
-    return (t1 ** (expo + 1.0) - t0 ** (expo + 1.0)) / (expo + 1.0)
+        return v0 * t0 * lnr
+    return v0 * t0 * lnr * np.expm1(u) / u

@@ -7,9 +7,9 @@ done with integer cell counts multiplied by the cell volume, which makes the
 distribution function of the sample and the level measures of its profile
 agree bit for bit, not just to rounding.
 
-The iterated variant rearranges along a distinguished axis first (per slice),
-then along the flattened complement (per level), producing a table that is
-nonincreasing in both indices and equimeasurable with the input.
+The iterated variant rearranges along the distinguished axis 0 first (per
+slice), then along the flattened complement (per level), producing a table
+that is nonincreasing in both indices and equimeasurable with the input.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfn import GridFunction, _check_axis
+from .gridfn import GridFunction
 
 __all__ = [
     "DecreasingProfile",
@@ -185,8 +185,8 @@ class IteratedProfile:
         return int(np.count_nonzero(self.table > y)) * self.cell_measure
 
 
-def iterated_rearrangement(f: GridFunction, axis=0) -> IteratedProfile:
-    """Rearrange |f| along `axis` per complement slice, then along the complement.
+def iterated_rearrangement(f: GridFunction) -> IteratedProfile:
+    """Rearrange |f| along axis 0 per complement slice, then along the complement.
 
     Sorting the complement (rows) after the per-slice sort preserves the
     monotonicity in the first index, so the result decreases in both.
@@ -194,11 +194,9 @@ def iterated_rearrangement(f: GridFunction, axis=0) -> IteratedProfile:
     spec = f.spec
     if spec.dim < 2:
         raise ValueError("iterated rearrangement needs dim >= 2")
-    _check_axis(axis, spec.dim)
-    a = np.abs(np.moveaxis(f.values, axis, 0))
-    a = a.reshape(a.shape[0], -1)
+    a = np.abs(f.values).reshape(spec.points[0], -1)
     a = np.sort(a, axis=0)[::-1]   # per complement slice, along the distinguished axis
     a = np.sort(a, axis=1)[:, ::-1]  # per level, along the flattened complement
-    row_step = spec.spacing[axis]
+    row_step = spec.spacing[0]
     col_step = spec.cell_volume / row_step
     return IteratedProfile(a.copy(), row_step, col_step)

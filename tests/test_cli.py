@@ -132,17 +132,34 @@ def test_corpus_gen_on_a_grid_too_coarse_for_the_draws_exits_1(tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("field,value", [
-    ("grid", GridSpec.box(1, 8.0, 2).to_dict()),  # the identity corpus gen refuses
-    ("seed", 7.5),
-    ("count", 3.9),
-    ("seed", None),
-], ids=["coarse-grid", "fractional-seed", "fractional-count", "null-seed"])
-def test_verify_rejects_a_corpus_it_cannot_draw(tmp_path, field, value):
+@pytest.mark.parametrize("path,value", [
+    (("grid",), GridSpec.box(1, 8.0, 2).to_dict()),  # the identity corpus gen refuses
+    (("seed",), 7.5),
+    (("count",), 3.9),
+    (("seed",), None),
+    ((), [1, 8.0, 64]),
+    (("grid", "dim"), None),
+    (("grid", "half_extents"), [None]),
+    (("grid", "half_extents"), 8.0),
+    (("count",), True),
+    (("seed",), True),
+    (("grid", "dim"), True),
+    (("format_version",), True),
+], ids=["coarse-grid", "fractional-seed", "fractional-count", "null-seed",
+        "json-list", "null-dim", "null-half-extent", "scalar-half-extents",
+        "true-count", "true-seed", "true-dim", "true-format-version"])
+def test_verify_rejects_a_corpus_it_cannot_draw(tmp_path, path, value):
     corpus = tmp_path / "corpus.json"
     save_corpus_spec(corpus, GridSpec.box(1, 8.0, 64), verify.DEFAULT_SEED, 6)
     doc = json.loads(corpus.read_text())
-    doc[field] = value
+    if path:
+        *head, key = path
+        target = doc
+        for k in head:
+            target = target[k]
+        target[key] = value
+    else:
+        doc = value
     corpus.write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "run", "--id", "bound", "--corpus", str(corpus),

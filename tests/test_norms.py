@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from ineqkit import norms
 from ineqkit.gridfn import GridFunction, GridSpec
 from ineqkit.norms import (IteratedLorentz, Lebesgue, Lorentz, Mixed,
-                           format_norm, iterated_lorentz_norm, lorentz_norm,
-                           lp_norm, mixed_norm, norm, norm_of_values,
-                           parse_norm)
+                           iterated_lorentz_norm, lp_norm, mixed_norm, norm,
+                           norm_of_values, parse_norm)
 
 from conftest import two_level_function
 
@@ -18,12 +17,19 @@ from conftest import two_level_function
 # -- grammar -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("text", [
-    "Leb(2)", "Leb(1.5)", "Lor(2,1)", "IterLor(2.5,1)",
-    "Mix(0;Leb(1);Lor(2,1))", "Mix(1;Lor(2,2);Leb(3))",
+@pytest.mark.parametrize("text,spec", [
+    pytest.param("Leb(2)", Lebesgue(2.0), id="Leb(2)"),
+    pytest.param("Leb(1.5)", Lebesgue(1.5), id="Leb(1.5)"),
+    pytest.param("Lor(2,1)", Lorentz(2.0, 1.0), id="Lor(2,1)"),
+    pytest.param("IterLor(2.5,1)", IteratedLorentz(2.5, 1.0), id="IterLor(2.5,1)"),
+    pytest.param("Mix(0;Leb(1);Lor(2,1))", Mixed(0, Lebesgue(1.0), Lorentz(2.0, 1.0)),
+                 id="Mix(0;Leb(1);Lor(2,1))"),
+    pytest.param("Mix(1;Lor(2,2);Leb(3))", Mixed(1, Lorentz(2.0, 2.0), Lebesgue(3.0)),
+                 id="Mix(1;Lor(2,2);Leb(3))"),
 ])
-def test_parse_format_roundtrip(text):
-    assert format_norm(parse_norm(text)) == text
+def test_parse_format_roundtrip(text, spec):
+    # the text a registry entry writes parses to the spec it spells
+    assert parse_norm(text) == spec
 
 
 @pytest.mark.parametrize("text", [
@@ -50,7 +56,7 @@ def test_spec_validation():
 def test_lorentz_collapses_to_lebesgue(corpus1, corpus2):
     for member in corpus1[:5] + corpus2[:3]:
         for p in (1.0, 2.0, 3.5):
-            assert lorentz_norm(member.f, p, p) == pytest.approx(
+            assert norm(member.f, Lorentz(p, p)) == pytest.approx(
                 lp_norm(member.f, p), rel=1e-12)
 
 
@@ -62,13 +68,13 @@ def test_lorentz_two_level_oracle(grid1):
         c = r / p
         exact = (3.0 ** r * 0.5 ** c / c
                  + (1.5 ** c - 0.5 ** c) / c) ** (1.0 / r)
-        assert lorentz_norm(f, p, r) == pytest.approx(exact, rel=1e-12)
+        assert norm(f, Lorentz(p, r)) == pytest.approx(exact, rel=1e-12)
 
 
 def test_norms_vanish_on_zero(grid1):
     z = GridFunction(grid1, np.zeros(grid1.shape))
     assert lp_norm(z, 2) == 0.0
-    assert lorentz_norm(z, 2, 1) == 0.0
+    assert norm(z, Lorentz(2, 1)) == 0.0
 
 
 def test_lorentz_weights_are_cached_read_only():
@@ -91,16 +97,16 @@ def test_lorentz_homogeneity(c, p, r):
     rng = np.random.default_rng(11)
     grid = GridSpec.box(1, 2.0, 32)
     f = GridFunction(grid, rng.uniform(-1.0, 1.0, grid.shape))
-    assert lorentz_norm(GridFunction(grid, f.values * c), p, r) == pytest.approx(
-        c * lorentz_norm(f, p, r), rel=1e-10)
+    assert norm(GridFunction(grid, f.values * c), Lorentz(p, r)) == pytest.approx(
+        c * norm(f, Lorentz(p, r)), rel=1e-10)
 
 
 def test_lorentz_secondary_index_monotone(corpus1):
     # smaller r gives the larger norm at fixed p (classical Lorentz nesting)
     for member in corpus1[:5]:
-        n1 = lorentz_norm(member.f, 2.0, 1.0)
-        n2 = lorentz_norm(member.f, 2.0, 2.0)
-        n3 = lorentz_norm(member.f, 2.0, 3.0)
+        n1 = norm(member.f, Lorentz(2.0, 1.0))
+        n2 = norm(member.f, Lorentz(2.0, 2.0))
+        n3 = norm(member.f, Lorentz(2.0, 3.0))
         assert n1 >= n2 * (1.0 - 1e-12) >= n3 * (1.0 - 1e-12) ** 2
 
 
@@ -156,7 +162,7 @@ def test_iterated_lorentz_factorizes_on_products():
     ga = GridFunction(GridSpec(1, (2.0,), (16,)), a)
     gb = GridFunction(GridSpec(1, (4.0,), (32,)), b)
     for p, r in [(2.0, 1.0), (2.0, 2.0), (1.5, 3.0)]:
-        expected = lorentz_norm(ga, p, r) * lorentz_norm(gb, p, r)
+        expected = norm(ga, Lorentz(p, r)) * norm(gb, Lorentz(p, r))
         assert iterated_lorentz_norm(f, p, r) == pytest.approx(expected,
                                                                rel=1e-10)
 
@@ -171,5 +177,5 @@ def test_norm_dispatch(corpus2):
     assert norm(member.f, "Leb(2)") == pytest.approx(lp_norm(member.f, 2))
     assert norm(member.f, "IterLor(2,1)") == pytest.approx(
         iterated_lorentz_norm(member.f, 2.0, 1.0))
-    assert norm(member.f, Lorentz(2.0, 1.0)) == pytest.approx(
-        lorentz_norm(member.f, 2.0, 1.0))
+    assert norm(member.f, "Lor(2,1)") == norm_of_values(
+        member.f.values, member.grid, Lorentz(2.0, 1.0))

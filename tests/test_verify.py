@@ -12,7 +12,7 @@ import pytest
 from ineqkit.gridfn import FamilySpec, GridSpec, corpus_generate, sample_member
 from ineqkit import fourier, gridfn, verify
 from ineqkit.norms import (Lebesgue, Lorentz, Mixed, iterated_lorentz_norm,
-                           lorentz_norm, lp_norm, norm, norm_of_values, parse_norm)
+                           lp_norm, norm, norm_of_values, parse_norm)
 from ineqkit.smoothness import BesovSpec, besov_seminorm
 from ineqkit.verify import (InequalityReport, InequalitySpec, default_families,
                             default_grid, empirical_ratio, escalate_family,
@@ -390,7 +390,7 @@ def _eval_sob1(member, params):
 
 
 def _eval_embed0(member, params):
-    lhs = lorentz_norm(member.f, params["pstar"], params["p"])
+    lhs = norm(member.f, Lorentz(params["pstar"], params["p"]))
     return lhs, _grad_norm(member, params["p"])
 
 
@@ -467,7 +467,7 @@ def _eval_strong1(member, params):
     spec = BesovSpec(params["alpha"], params["theta"], 0, base, use_modulus=True)
     rhs = norm(member.f, base) + besov_seminorm(member.f, spec,
                                                 deriv=member.derivs[0])
-    return lorentz_norm(member.f, params["p"], params["nu"]), rhs
+    return norm(member.f, Lorentz(params["p"], params["nu"])), rhs
 
 
 def _eval_strong10(member, params):
@@ -482,12 +482,12 @@ def _eval_strong10(member, params):
 
 def _eval_const1(member, params):
     p, nu = params["p"], params["nu"]
-    return lorentz_norm(member.f, p, nu), iterated_lorentz_norm(member.f, p, nu)
+    return norm(member.f, Lorentz(p, nu)), iterated_lorentz_norm(member.f, p, nu)
 
 
 def _eval_const2(member, params):
     p, nu = params["p"], params["nu"]
-    return iterated_lorentz_norm(member.f, p, nu), lorentz_norm(member.f, p, nu)
+    return iterated_lorentz_norm(member.f, p, nu), norm(member.f, Lorentz(p, nu))
 
 
 def _eval_h_ineq(member, params):
