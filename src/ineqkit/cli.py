@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import render, verify
-from .gridfn import (FORMAT_VERSION, GridSpec, corpus_generate,
+from .gridfn import (GridSpec, _check_format_version, corpus_generate,
                      load_corpus_spec, save_corpus_spec)
 
 __all__ = ["main"]
@@ -220,10 +220,10 @@ def _cmd_render(args, parser) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read {src}: {exc}", file=sys.stderr)
         return 1
-    if doc.get("format_version") != FORMAT_VERSION:
-        print(f"error: {src} has format_version "
-              f"{doc.get('format_version')!r}, expected {FORMAT_VERSION}",
-              file=sys.stderr)
+    try:
+        _check_format_version(doc, src)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     out = os.path.join(args.in_dir, f"report.{args.fmt}")
     if args.fmt == "csv":

@@ -50,7 +50,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -271,47 +271,27 @@ def _ball_maximum(values: np.ndarray, spec: GridSpec, radius: float) -> np.ndarr
 
     The ball is sampled at grid nodes; nodes outside the box do not
     contribute.  radius below the spacing returns values unchanged.
+
+    The ball is a union of 1-d windows along the last axis, one per offset
+    of the other axes.  Each offset reads a view of one copy of values
+    padded with -inf along those axes, by at most N - 1 cells (a larger
+    offset leaves the box), and filters it along the last axis; "nearest"
+    padding there never wins, since it repeats the window's in-box edge.
     """
     if radius >= math.hypot(*(2.0 * L for L in spec.half_extents)):
         return np.full_like(values, values.max())
-    last = spec.dim - 1
-    w_last = int(radius / spec.spacing[last] + 1e-9)
-    if spec.dim == 1:
-        return maximum_filter1d(values, 2 * w_last + 1, mode="nearest")
-    # decompose the ball into 1-d windows along the last axis, one per
-    # transverse offset; "nearest" padding never wins because the filtered
-    # rows are shifted copies whose edges repeat in-box values
+    head = spec.spacing[:-1]
+    reach = [min(int(radius / s + 1e-9), n - 1) for s, n in zip(head, values.shape)]
+    padded = np.pad(values, [(r, r) for r in reach] + [(0, 0)], constant_values=-np.inf)
     out = np.full_like(values, -np.inf)
-    head_spacing = spec.spacing[:-1]
-    head_shape = values.shape[:-1]
-    ranges = [np.arange(-int(radius / s + 1e-9), int(radius / s + 1e-9) + 1)
-              for s in head_spacing]
-    for offset in np.stack(np.meshgrid(*ranges, indexing="ij"), -1).reshape(-1, last):
-        d2 = sum((o * s) ** 2 for o, s in zip(offset, head_spacing))
+    for offset in itertools.product(*(range(-r, r + 1) for r in reach)):
+        d2 = sum((o * s) ** 2 for o, s in zip(offset, head))
         if d2 > radius * radius * (1 + 1e-12):
             continue
-        if any(abs(int(o)) >= head_shape[ax] for ax, o in enumerate(offset)):
-            continue  # the shifted copy lies entirely outside the box
-        w = int(math.sqrt(max(radius * radius - d2, 0.0)) / spec.spacing[last] + 1e-9)
-        shifted = values
-        for ax, o in enumerate(offset):
-            o = int(o)
-            if o == 0:
-                continue
-            pad = np.full_like(shifted, -np.inf)
-            n = head_shape[ax]
-            src = [slice(None)] * values.ndim
-            dst = [slice(None)] * values.ndim
-            if o > 0:
-                dst[ax] = slice(0, n - o)
-                src[ax] = slice(o, n)
-            else:
-                dst[ax] = slice(-o, n)
-                src[ax] = slice(0, n + o)
-            pad[tuple(dst)] = shifted[tuple(src)]
-            shifted = pad
-        filt = maximum_filter1d(shifted, 2 * w + 1, axis=last, mode="nearest")
-        np.maximum(out, filt, out=out)
+        w = int(math.sqrt(max(radius * radius - d2, 0.0)) / spec.spacing[-1] + 1e-9)
+        view = padded[tuple(slice(r + o, r + o + n)
+                            for r, o, n in zip(reach, offset, values.shape))]
+        np.maximum(out, maximum_filter1d(view, 2 * w + 1, axis=-1, mode="nearest"), out=out)
     return out
 
 
@@ -412,7 +392,7 @@ def _slab_double_stars(F: SpectralFunction, axis, ts, measures) -> np.ndarray:
     return out
 
 
-def sup_integral_functional(f: Union[GridFunction, SpectralFunction], axis) -> float:
+def sup_integral_functional(F: SpectralFunction, axis) -> float:
     """Integral over t > 0 of the running average, at t^(n-1), of the slab sup.
 
     The slab sup at threshold t is rearranged over its (n-1)-dimensional
@@ -428,7 +408,6 @@ def sup_integral_functional(f: Union[GridFunction, SpectralFunction], axis) -> f
     per-threshold route on the full spectrum (slab sup,
     decreasing_rearrangement, double_star) bit for bit.
     """
-    F = transform(f) if isinstance(f, GridFunction) else f
     _check_slab_axis(F.spec, axis)
     n = F.spec.dim
     t_hi = F.spec.half_extents[axis]

@@ -25,7 +25,7 @@ import numbers
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -102,11 +102,8 @@ class GridSpec:
 
     @classmethod
     def box(cls, dim, half_extent, points):
-        """Build a spec broadcasting scalar half_extent / points over axes."""
-        Ls = tuple(float(x) for x in (half_extent if isinstance(half_extent, Iterable) else (half_extent,) * dim))
-        Ns = tuple(_as_int(x, "points per axis")
-                   for x in (points if isinstance(points, Iterable) else (points,) * dim))
-        return cls(dim, Ls, Ns)
+        """The cube [-L, L]^dim with the same number of points on every axis."""
+        return cls(dim, (float(half_extent),) * dim, (_as_int(points, "points per axis"),) * dim)
 
     # cached in the instance __dict__; equality, hashing and to_dict read only the fields
     @functools.cached_property
@@ -130,11 +127,9 @@ class GridSpec:
         return list(np.meshgrid(*(self.axis_nodes(i) for i in range(self.dim)),
                                 indexing="ij", sparse=True))
 
-    def refine(self, factor=2) -> "GridSpec":
-        """Same box, factor times as many points per axis."""
-        if factor < 1 or factor != int(factor):
-            raise ValueError("refine factor must be a positive integer")
-        return GridSpec(self.dim, self.half_extents, tuple(int(factor) * N for N in self.points))
+    def refine(self) -> "GridSpec":
+        """Same box, twice as many points per axis."""
+        return GridSpec(self.dim, self.half_extents, tuple(2 * N for N in self.points))
 
     def drop_axis(self, axis) -> "GridSpec":
         """Spec for the complementary axes; dim must be >= 2."""
@@ -589,13 +584,23 @@ def load_corpus_spec(path) -> tuple[GridSpec, int, int]:
     """(grid, seed, count) from a corpus file; bad fields raise ValueError, missing ones KeyError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("a corpus file must hold a JSON object")
-    version = doc.get("format_version")
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise ValueError(f"unsupported corpus format version {version!r}")
+    _check_format_version(doc, "the corpus file")
     return (GridSpec.from_dict(doc["grid"]), _as_int(doc["seed"], "seed and count"),
             _as_int(doc["count"], "seed and count"))
+
+
+def _check_format_version(doc, what: str) -> None:
+    """Raise ValueError unless doc is a JSON object whose format_version is exactly FORMAT_VERSION.
+
+    Both readers of a saved document call it: load_corpus_spec and report
+    render.  JSON true is rejected, although True == 1 in Python.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must hold a JSON object with format_version "
+                         f"{FORMAT_VERSION}, got a {type(doc).__name__}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"{what} has format_version {version!r}, expected {FORMAT_VERSION}")
 
 
 def _atomic_write(path, data) -> None:

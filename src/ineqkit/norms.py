@@ -315,11 +315,10 @@ def norm(f: GridFunction, spec: NormSpec) -> float:
 def norm_of_values(values: np.ndarray, grid, spec: NormSpec) -> float:
     """Norm of a raw sample array on `grid`; skips GridFunction bookkeeping.
 
-    Useful in loops that evaluate many norms of derived arrays (differences,
-    shifted copies).  IteratedLorentz is not supported here.
+    spec is a NormSpec (parse_norm reads a text).  Useful in loops that
+    evaluate many norms of derived arrays (differences, shifted copies).
+    IteratedLorentz is not supported here.
     """
-    if isinstance(spec, str):
-        spec = parse_norm(spec)
     _check_values_spec(grid, spec)
     return _finish(_reduce(np.abs(values), spec), grid, spec)
 

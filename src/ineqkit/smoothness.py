@@ -54,11 +54,14 @@ Moduli come from one table of signed running maxima, which stops at shift N
 since the modulus is constant beyond it.
 
 Besov-type quantities integrate h^(-alpha) times a difference norm against
-dh/h over a geometric h-window.  Outside the window the integral is completed
+dh/h over a geometric h-window.  The window starts at the axis spacing, the
+smallest shift the grid has, and ends at h_max, by default 4 times the
+largest half extent; its nodes step by DEFAULT_RATIO and are snapped to
+multiples of the spacing.  Outside the window the integral is completed
 with the two standard analytic bounds: a difference norm is at most h times
 the norm of the directional derivative (small h), and at most twice the norm
 of the function (large h).  The small-h completion therefore needs the exact
-derivative and is skipped when none is supplied.  The large-h completion
+derivative, which every caller passes.  The large-h completion
 reads the norm of f from a window shift past the box when there is one.
 """
 
@@ -70,9 +73,9 @@ from typing import Optional
 
 import numpy as np
 
-from .gridfn import GridFunction, GridSpec, _check_axis
+from .gridfn import GridFunction, _check_axis
 from .norms import (Lebesgue, Lorentz, Mixed, NormSpec, _check_values_spec, _finish,
-                    _power_sum, _reduce, norm_of_values, parse_norm)
+                    _power_sum, _reduce, norm_of_values)
 from .quadrature import log_midpoint_nodes
 from .rearrange import decreasing_rearrangement, double_star
 
@@ -276,8 +279,6 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     keyed by (axis, base) and then by shift, so a copy of f on a rescaled
     grid only finishes what f reduced.
     """
-    if isinstance(base, str):
-        base = parse_norm(base)
     _check_axis(axis, f.spec.dim)
     ms = _integer_multiples(multiples)
     grid = f.spec
@@ -351,18 +352,17 @@ class BesovSpec:
     """Parameters of a Besov-type seminorm.
 
     alpha in (0, 1) is the smoothness order, theta >= 1 the integral exponent,
-    axis the difference direction, base the norm applied to each difference.
-    The h-window defaults to [axis spacing, 4 * max half extent]; ratio is the
-    geometric step of the quadrature grid.  use_modulus switches the integrand
-    from the plain difference norm to the modulus of smoothness.
+    axis the difference direction, base the NormSpec applied to each
+    difference.  The h-window runs from the axis spacing to h_max, by default
+    4 * max half extent; the quadrature grid steps geometrically by
+    DEFAULT_RATIO.  use_modulus switches the integrand from the plain
+    difference norm to the modulus of smoothness.
     """
 
     alpha: float
     theta: float
     axis: int
     base: NormSpec
-    ratio: float = DEFAULT_RATIO
-    h_min: Optional[float] = None
     h_max: Optional[float] = None
     use_modulus: bool = False
 
@@ -373,21 +373,13 @@ class BesovSpec:
             raise ValueError(f"theta must be finite and >= 1, got {self.theta}")
         if self.axis < 0:
             raise ValueError("axis must be nonnegative")
-        if not 1 < self.ratio <= 2:
-            raise ValueError(f"ratio must lie in (1, 2], got {self.ratio}")
-        for name in ("h_min", "h_max"):
-            h = getattr(self, name)
-            if h is not None and not 0 < h < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {h}")
-        if self.h_min is not None and self.h_max is not None and self.h_min >= self.h_max:
-            raise ValueError(f"h_min {self.h_min} must be below h_max {self.h_max}")
-        if isinstance(self.base, str):
-            object.__setattr__(self, "base", parse_norm(self.base))
+        if self.h_max is not None and not 0 < self.h_max < math.inf:
+            raise ValueError(f"h_max must be finite and positive, got {self.h_max}")
 
 
-def _snapped_nodes(h_min, h_max, ratio, step):
-    """Log-midpoint nodes snapped to grid multiples, duplicates merged."""
-    nodes, weights = log_midpoint_nodes(h_min, h_max, ratio)
+def _snapped_nodes(h_min, h_max, step):
+    """Log-midpoint nodes with ratio DEFAULT_RATIO snapped to grid multiples, duplicates merged."""
+    nodes, weights = log_midpoint_nodes(h_min, h_max, DEFAULT_RATIO)
     if nodes.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
     ms = np.maximum(1, np.round(nodes / step).astype(np.int64))
@@ -397,27 +389,26 @@ def _snapped_nodes(h_min, h_max, ratio, step):
     return uniq, w
 
 
-def besov_seminorm(f: GridFunction, spec: BesovSpec, deriv: Optional[GridFunction] = None,
+def besov_seminorm(f: GridFunction, spec: BesovSpec, deriv: GridFunction,
                    upper_tail=True) -> float:
     """Besov-type seminorm of f; see the module docstring for the completion.
 
-    deriv, when given, must be the exact partial derivative along spec.axis
-    and enables the small-h analytic completion.  upper_tail=False drops the
+    deriv must be the exact partial derivative along spec.axis; the small-h
+    analytic completion reads its norm.  upper_tail=False drops the
     large-h completion.  Both completions converge, since BesovSpec keeps
-    alpha in (0, 1) and theta >= 1.  A window whose resolved h_min is not
-    below its h_max raises ValueError.
+    alpha in (0, 1) and theta >= 1.  A window whose h_max is not above the
+    axis spacing raises ValueError.
     """
     grid = f.spec
     if not spec.axis < grid.dim:
         raise ValueError(f"axis {spec.axis} out of range for dim {grid.dim}")
     step = grid.spacing[spec.axis]
-    h_min = spec.h_min if spec.h_min is not None else step
     h_max = spec.h_max if spec.h_max is not None else 4.0 * max(grid.half_extents)
-    if h_min >= h_max:
-        raise ValueError(f"h-window [{h_min}, {h_max}] is empty")
+    if step >= h_max:
+        raise ValueError(f"h-window [{step}, {h_max}] is empty")
     alpha, theta = spec.alpha, spec.theta
 
-    ms, weights = _snapped_nodes(h_min, h_max, spec.ratio, step)
+    ms, weights = _snapped_nodes(step, h_max, step)
     n = grid.points[spec.axis]
     # the norms at shifts past the box, if any, are the norm of f
     if spec.use_modulus and ms.size:
@@ -432,9 +423,8 @@ def besov_seminorm(f: GridFunction, spec: BesovSpec, deriv: Optional[GridFunctio
     if upper_tail:
         fnorm = float(past[0]) if past.size else norm_of_values(f.values, grid, spec.base)
         total += (2.0 * fnorm) ** theta * h_max ** (-alpha * theta) / (alpha * theta)
-    if deriv is not None:
-        dnorm = norm_of_values(deriv.values, grid, spec.base)
-        total += dnorm ** theta * h_min ** ((1.0 - alpha) * theta) / ((1.0 - alpha) * theta)
+    dnorm = norm_of_values(deriv.values, grid, spec.base)
+    total += dnorm ** theta * step ** ((1.0 - alpha) * theta) / ((1.0 - alpha) * theta)
     return float(total ** (1.0 / theta))
 
 
@@ -444,9 +434,9 @@ def besov_seminorm(f: GridFunction, spec: BesovSpec, deriv: Optional[GridFunctio
 
 
 def _measures(t) -> np.ndarray:
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = np.asarray(t, dtype=float)
     if ts.ndim != 1:
-        raise ValueError("t must be a scalar or a 1-d array")
+        raise ValueError("t must be a 1-d array")
     if np.isnan(ts).any():
         raise ValueError("t must not be NaN")
     if np.any(ts <= 0):
@@ -454,19 +444,14 @@ def _measures(t) -> np.ndarray:
     return ts
 
 
-def _scalar_or_array(t, values):
-    values = np.array(values, dtype=float)
-    return values if np.ndim(t) else float(values[0])
-
-
 def ulyanov_pointwise(f: GridFunction, p: float, t):
     """Gap between the running average and the rearrangement vs. the modulus.
 
-    Returns (lhs, rhs) with lhs the running-average excess over the
-    rearrangement at measure t and rhs = 2 t^(-1/p) times the modulus at t in
-    the Lebesgue p norm.  One-dimensional functions only.  t may be a 1-d
-    array: the moduli of all its values then come from one table, and each
-    side is an array whose entries equal the scalar calls bit for bit.
+    Returns arrays (lhs, rhs) over the measures of the 1-d array t: lhs is
+    the running-average excess over the rearrangement at measure t and
+    rhs = 2 t^(-1/p) times the modulus at t in the Lebesgue p norm.
+    One-dimensional functions only.  The moduli at all of t come from one
+    table, and each entry equals the one a table of its own gives.
     """
     if f.spec.dim != 1:
         raise ValueError("defined for 1-d functions")
@@ -475,19 +460,20 @@ def ulyanov_pointwise(f: GridFunction, p: float, t):
     lhs = [double_star(prof, s) - prof.value_at(s) for s in ts]
     omega = _moduli_at(f, 0, ts, Lebesgue(p))
     rhs = [2.0 * s ** (-1.0 / p) * w for s, w in zip(ts, omega)]
-    return _scalar_or_array(t, lhs), _scalar_or_array(t, rhs)
+    return np.array(lhs, dtype=float), np.array(rhs, dtype=float)
 
 
 def ulyanov_tail(f: GridFunction, p: float, t):
     """Rearrangement value vs. the tail integral of the modulus.
 
-    Returns (lhs, rhs): lhs is the rearrangement at measure t, rhs is twice
-    the integral over s in (t, oo) of s^(-1/p) times the modulus at s, against
-    ds/s, on log-spaced nodes with ratio DEFAULT_RATIO.  The range beyond
-    4 L uses the bound modulus <= 2 ||f||_p, which completes the integral in
-    closed form (an upper estimate of rhs).  t may be a 1-d array: the moduli
-    of all its quadrature nodes then come from one table, and each side is an
-    array whose entries equal the scalar calls bit for bit.
+    Returns arrays (lhs, rhs) over the measures of the 1-d array t: lhs is
+    the rearrangement at measure t, rhs is twice the integral over s in
+    (t, oo) of s^(-1/p) times the modulus at s, against ds/s, on log-spaced
+    nodes with ratio DEFAULT_RATIO.  The range beyond 4 L uses the bound
+    modulus <= 2 ||f||_p, which completes the integral in closed form (an
+    upper estimate of rhs).  The moduli at the quadrature nodes of all of t
+    come from one table, and each entry equals the one a table of its own
+    gives.
     """
     if f.spec.dim != 1:
         raise ValueError("defined for 1-d functions")
@@ -499,7 +485,7 @@ def ulyanov_tail(f: GridFunction, p: float, t):
     prof = decreasing_rearrangement(f)
     lhs = [prof.value_at(s) for s in ts]
 
-    nodes = [_snapped_nodes(s, s_max, DEFAULT_RATIO, step) if s < s_max
+    nodes = [_snapped_nodes(s, s_max, step) if s < s_max
              else (np.empty(0, dtype=np.int64), np.empty(0)) for s in ts]
     all_ms = np.concatenate([ms for ms, _ in nodes])
     omegas = np.split(_moduli(f, 0, base, all_ms)[0] if all_ms.size else all_ms,
@@ -514,4 +500,4 @@ def ulyanov_tail(f: GridFunction, p: float, t):
         tail_from = max(s, s_max)
         tail = 2.0 * fnorm * p * tail_from ** (-1.0 / p)
         rhs.append(2.0 * (finite + tail))
-    return _scalar_or_array(t, lhs), _scalar_or_array(t, rhs)
+    return np.array(lhs, dtype=float), np.array(rhs, dtype=float)

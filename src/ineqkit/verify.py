@@ -411,12 +411,14 @@ def _valid_compare(dim, params):
 
 @dataclass(frozen=True)
 class InequalitySpec:
-    """One inequality: paired functionals plus its validity window."""
+    """One inequality: paired functionals plus its validity window.
+
+    params maps each dimension the entry applies to onto its parameters.
+    """
 
     id: str
     kind: str
     description: str
-    dims: tuple[int, ...]
     params: Mapping[int, dict]
     evaluate: Callable[[CorpusMember, dict], tuple[float, float]]
     valid: Callable[[int, dict], bool] = _valid_always
@@ -429,12 +431,15 @@ class InequalitySpec:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind == "assert" and self.constant is None:
             raise ValueError(f"assert entry {self.id} needs an explicit constant")
-        if set(self.params) != set(self.dims):
-            raise ValueError(f"entry {self.id}: params must cover exactly its dims")
         for d in self.dims:
             if not self.valid(d, self.params[d]):
                 raise ValueError(f"entry {self.id}: parameters for dim {d} "
                                  "fall outside the validity window")
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """The dimensions the entry applies to: the keys of params."""
+        return tuple(self.params)
 
 
 def registry() -> tuple[InequalitySpec, ...]:
@@ -451,76 +456,76 @@ def registry() -> tuple[InequalitySpec, ...]:
         InequalitySpec(
             "hardy", "assert",
             "half-line averaging operator bound, constant 1/(1-lam)",
-            (1,), {1: {"lam": 0.5, "p": 2.0}}, _eval_hardy,
+            {1: {"lam": 0.5, "p": 2.0}}, _eval_hardy,
             constant=2.0),
         InequalitySpec(
             "bound", "assert",
             "running average of the rearrangement in L^p, constant p/(p-1)",
-            (1,), {1: {"p": 2.0}}, _eval_bound,
+            {1: {"p": 2.0}}, _eval_bound,
             constant=2.0, tolerance=1e-4),
         InequalitySpec(
             "ulyanov0", "assert",
             "rearrangement average gap vs. t^(-1/p) modulus, constant 2",
-            (1,), {1: {"p": 2.0}}, _eval_ulyanov_pointwise,
+            {1: {"p": 2.0}}, _eval_ulyanov_pointwise,
             constant=2.0),
         InequalitySpec(
             "Ulyanov1", "assert",
             "rearrangement tail integral of the modulus, constant 2",
-            (1,), {1: {"p": 1.0}}, _eval_ulyanov_tail,
+            {1: {"p": 1.0}}, _eval_ulyanov_tail,
             constant=2.0),
         InequalitySpec(
             "omega1", "assert",
             "modulus vs. averaged difference norms, constant 3",
-            (1,), {1: {"base": "Leb(1)", "deltas": [0.5, 2.0, 8.0]}}, _eval_omega1,
+            {1: {"base": "Leb(1)", "deltas": [0.5, 2.0, 8.0]}}, _eval_omega1,
             constant=3.0),
         InequalitySpec(
             "sob1", "report",
             "critical Lebesgue norm vs. gradient norm",
-            (2,), {2: {"p": 1.0, "pstar": 2.0}},
+            {2: {"p": 1.0, "pstar": 2.0}},
             Sides(((_norm, "Leb({pstar})"),), ((_grad, "{p}"),)),
             valid=_valid_sobolev),
         InequalitySpec(
             "embed0", "report",
             "critical Lorentz norm vs. gradient norm",
-            (2,), {2: {"p": 1.0, "pstar": 2.0}},
+            {2: {"p": 1.0, "pstar": 2.0}},
             Sides(((_norm, "Lor({pstar},{p})"),), ((_grad, "{p}"),)),
             valid=_valid_sobolev, dilation_sweep=True),
         InequalitySpec(
             "embed1", "report",
             "directional Lorentz-norm smoothness integrals vs. derivative norms",
-            (1, 2), {1: {"p": 2.0, "q": 4.0, "s": 0.75},
+            {1: {"p": 2.0, "q": 4.0, "s": 0.75},
                      2: {"p": 1.0, "q": 1.5, "s": 1.0 / 3.0}}, embed1,
             valid=_valid_embed1, dilation_sweep=True),
         InequalitySpec(
             "embed32", "report",
             "directional mixed-norm smoothness integrals vs. derivative norms",
-            (2, 3), {2: {"p": 1.5, "q": 2.5, "alpha": 1.0 - 1.0 / 1.5 + 1.0 / 2.5},
+            {2: {"p": 1.5, "q": 2.5, "alpha": 1.0 - 1.0 / 1.5 + 1.0 / 2.5},
                      3: {"p": 1.0, "q": 1.5, "alpha": 1.0 / 3.0}}, embed32,
             valid=_valid_embed32, dilation_sweep=True),
         InequalitySpec(
             "embed321", "report",
             "mixed-norm first-difference integrals vs. Riesz-augmented derivative norms",
-            (2,), {2: {"q": 2.0, "alpha": 0.5}}, hardy_refined,
+            {2: {"q": 2.0, "alpha": 0.5}}, hardy_refined,
             valid=_valid_hardy_refined),
         InequalitySpec(
             "hardy1", "report",
             "mixed-norm first-difference integrals vs. Riesz-augmented derivative norms",
-            (2,), {2: {"q": 3.0, "alpha": 1.0 / 3.0}}, hardy_refined,
+            {2: {"q": 3.0, "alpha": 1.0 / 3.0}}, hardy_refined,
             valid=_valid_hardy_refined),
         InequalitySpec(
             "Ulyanov2", "report",
             "L^q norm vs. weighted difference-norm integral",
-            (1,), {1: {"p": 1.0, "q": 2.0}}, _eval_ulyanov2,
+            {1: {"p": 1.0, "q": 2.0}}, _eval_ulyanov2,
             valid=_valid_ulyanov_pair),
         InequalitySpec(
             "Ulyanov3", "report",
             "L^q modulus vs. truncated weighted difference-norm integral",
-            (1,), {1: {"p": 1.0, "q": 2.0, "deltas": [0.5, 2.0]}}, _eval_ulyanov3,
+            {1: {"p": 1.0, "q": 2.0, "deltas": [0.5, 2.0]}}, _eval_ulyanov3,
             valid=_valid_ulyanov_pair),
         InequalitySpec(
             "diff", "report",
             "smoothness-graded norm embedding across Lebesgue exponents",
-            (1,), {1: {"p": 1.0, "q": 2.0, "theta": 2.0, "alpha": 0.75,
+            {1: {"p": 1.0, "q": 2.0, "theta": 2.0, "alpha": 0.75,
                        "beta": 0.25}},
             Sides(((_norm, "Leb({q})"), (_besov_sum, "{beta}", "{theta}", "Leb({q})")),
                   ((_norm, "Leb({p})"), (_besov_sum, "{alpha}", "{theta}", "Leb({p})"))),
@@ -528,20 +533,20 @@ def registry() -> tuple[InequalitySpec, ...]:
         InequalitySpec(
             "equivalence", "report",
             "modulus-built vs. difference-built smoothness integrals (ratio >= 1)",
-            (2,), {2: {"alpha": 0.5, "theta": 2.0, "base": "Leb(2)"}},
+            {2: {"alpha": 0.5, "theta": 2.0, "base": "Leb(2)"}},
             Sides(((_besov, "{alpha}", "{theta}", "{base}", True, True),),
                   ((_besov, "{alpha}", "{theta}", "{base}", False, True),))),
         InequalitySpec(
             "simple1", "report",
             "plain norm vs. modulus-graded mixed-norm class norm",
-            (2,), {2: {"r": 1.0, "p": 2.0, "theta": 2.0, "alpha": 0.75}},
+            {2: {"r": 1.0, "p": 2.0, "theta": 2.0, "alpha": 0.75}},
             Sides(((_norm, "Leb({p})"),),
                   ((_norm, simple_base), (_besov, "{alpha}", "{theta}", simple_base, True))),
             valid=_valid_simple),
         InequalitySpec(
             "simple2", "report",
             "difference-norm integrals: plain target vs. mixed-norm source",
-            (2,), {2: {"r": 1.0, "p": 2.0, "theta": 2.0, "alpha": 0.75,
+            {2: {"r": 1.0, "p": 2.0, "theta": 2.0, "alpha": 0.75,
                        "beta": 0.25}},
             Sides(((_besov, "{beta}", "{theta}", "Leb({p})", False, True),),
                   ((_besov, "{alpha}", "{theta}", simple_base, False, True),)),
@@ -549,7 +554,7 @@ def registry() -> tuple[InequalitySpec, ...]:
         InequalitySpec(
             "strong1", "report",
             "Lorentz norm vs. modulus-graded Lorentz-over-Lebesgue class norm",
-            (2,), {2: {"r": 1.0, "p": 2.0, "nu": 1.5, "theta": 2.0,
+            {2: {"r": 1.0, "p": 2.0, "nu": 1.5, "theta": 2.0,
                        "alpha": 0.75}},
             Sides(((_norm, "Lor({p},{nu})"),),
                   ((_norm, strong_base), (_besov, "{alpha}", "{theta}", strong_base, True))),
@@ -557,7 +562,7 @@ def registry() -> tuple[InequalitySpec, ...]:
         InequalitySpec(
             "strong10", "report",
             "difference-norm integrals: Lorentz target vs. mixed source",
-            (2,), {2: {"r": 1.0, "p": 2.0, "nu": 1.5, "theta": 2.0,
+            {2: {"r": 1.0, "p": 2.0, "nu": 1.5, "theta": 2.0,
                        "alpha": 0.75, "beta": 0.25}},
             Sides(((_besov, "{beta}", "{theta}", "Lor({p},{nu})", False, True),),
                   ((_besov, "{alpha}", "{theta}", strong_base, False, True),)),
@@ -565,64 +570,64 @@ def registry() -> tuple[InequalitySpec, ...]:
         InequalitySpec(
             "const1", "report",
             "Lorentz norm vs. iterated-rearrangement norm (nu <= p)",
-            (2,), {2: {"p": 2.0, "nu": 1.0}},
+            {2: {"p": 2.0, "nu": 1.0}},
             Sides(((_norm, "Lor({p},{nu})"),), ((_norm, "IterLor({p},{nu})"),)),
             valid=_valid_const1),
         InequalitySpec(
             "const2", "report",
             "iterated-rearrangement norm vs. Lorentz norm (p <= nu)",
-            (2,), {2: {"p": 2.0, "nu": 3.0}},
+            {2: {"p": 2.0, "nu": 3.0}},
             Sides(((_norm, "IterLor({p},{nu})"),), ((_norm, "Lor({p},{nu})"),)),
             valid=_valid_const2),
         InequalitySpec(
             "H_ineq", "report",
             "spectrum weighted by |xi|^(-n) vs. Riesz-augmented L1 norm",
-            (2, 3), {2: {}, 3: {}}, Sides(((_weighted, 0, 0),), ((_h1, 0),))),
+            {2: {}, 3: {}}, Sides(((_weighted, 0, 0),), ((_h1, 0),))),
         InequalitySpec(
             "pelcz", "report",
             "spectrum weighted by |xi|^(1-n) vs. gradient L1 norm",
-            (2, 3), {2: {}, 3: {}}, Sides(((_weighted, 1),), ((_grad, "1.0"),))),
+            {2: {}, 3: {}}, Sides(((_weighted, 1),), ((_grad, "1.0"),))),
         InequalitySpec(
             "pelcz1", "report",
             "derivative spectra weighted by |xi|^(-n) vs. derivative L1 norms",
-            (2, 3), {2: {}, 3: {}},
+            {2: {}, 3: {}},
             Sides(((_weighted_sum, 0),), ((_deriv_norms, "1.0"),))),
         InequalitySpec(
             "oberlin", "report",
             "dyadic shell sums of a mean-zero spectrum vs. Riesz-augmented L1 norm",
-            (2,), {2: {}}, Sides(((_shells, 1, 0),), ((_h1, 0),))),
+            {2: {}}, Sides(((_shells, 1, 0),), ((_h1, 0),))),
         InequalitySpec(
             "sup111", "report",
             "integrated running averages of slab sups vs. gradient L1 norm",
-            (3,), {3: {}}, Sides(((_slab_sups,),), ((_grad, "1.0"),))),
+            {3: {}}, Sides(((_slab_sups,),), ((_grad, "1.0"),))),
         InequalitySpec(
             "supH", "report",
             "integrated running averages of slab sups vs. Riesz-augmented norms",
-            (2,), {2: {}}, Sides(((_slab_sups,),), ((_h1_sum,),))),
+            {2: {}}, Sides(((_slab_sups,),), ((_h1_sum,),))),
         InequalitySpec(
             "obertype1", "report",
             "weighted dyadic shell sums of the spectrum vs. gradient L1 norm",
-            (3,), {3: {}}, obertype),
+            {3: {}}, obertype),
         InequalitySpec(
             "obertype33", "report",
             "cube-face shell sums of the spectrum vs. gradient L1 norm",
-            (3,), {3: {}}, Sides(((_cube_shells,),), ((_grad, "1.0"),))),
+            {3: {}}, Sides(((_cube_shells,),), ((_grad, "1.0"),))),
         InequalitySpec(
             "embed1_vs_embed32", "report",
             "plain-norm smoothness integrals vs. their mixed-norm refinement",
-            (2,), {2: {"p": 1.5, "q": 2.0, "s": 1.0 - 2.0 * (1 / 1.5 - 0.5),
+            {2: {"p": 1.5, "q": 2.0, "s": 1.0 - 2.0 * (1 / 1.5 - 0.5),
                        "alpha": 1.0 - (1 / 1.5 - 0.5)}},
             Sides(embed1.lhs, embed32.lhs),
             valid=_valid_compare),
         InequalitySpec(
             "embed32_n2_p1", "probe",
             "mixed-norm smoothness integrals at the open parameter corner",
-            (2,), {2: {"p": 1.0, "q": 1.5, "alpha": 2.0 / 3.0}}, embed32,
+            {2: {"p": 1.0, "q": 1.5, "alpha": 2.0 / 3.0}}, embed32,
             valid=_valid_probe_embed32),
         InequalitySpec(
             "obertype_n2", "probe",
             "unweighted dyadic shell sums at the open dimension",
-            (2,), {2: {}}, obertype),
+            {2: {}}, obertype),
     ]
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
@@ -659,19 +664,10 @@ class InequalityReport:
     dilation: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "id": self.id, "dim": self.dim, "kind": self.kind,
-            "params": self.params, "constant": self.constant,
-            "tolerance": self.tolerance, "rows": self.rows,
-            "max_ratio_coarse": self.max_ratio_coarse,
-            "max_ratio_fine": self.max_ratio_fine,
-            "empirical_constant": self.empirical_constant,
-            "refinement_drift": self.refinement_drift,
-            "stable": self.stable, "passed": self.passed,
-            "failures": self.failures,
-        }
-        if self.dilation is not None:
-            d["dilation"] = self.dilation
+        """The fields by name, without dilation when there is none; nothing is copied."""
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        if self.dilation is None:
+            del d["dilation"]
         return d
 
 
@@ -721,7 +717,7 @@ def _evaluate_member(task):
     """
     specs, dim, index, fam, grid = task
     coarse = _evaluate(specs, dim, sample_member(fam, grid))
-    member = sample_member(fam, grid.refine(2))
+    member = sample_member(fam, grid.refine())
     swept = iter(_sweep([spec for spec in specs if spec.dilation_sweep], dim, member))
     rest = iter(_evaluate([spec for spec in specs if not spec.dilation_sweep], dim, member))
     del member
@@ -906,23 +902,20 @@ def escalate_family(fam: FamilySpec, level: int) -> FamilySpec:
     return dataclasses.replace(fam, width=tuple(w / factor for w in fam.width))
 
 
-def probe(question: str, depth: int = 2, families=None, grid=None,
-          jobs: int = 1) -> dict:
+def probe(question: str, depth: int = 2, jobs: int = 1) -> dict:
     """Evidence sweep for an open question; never asserts a direction.
 
-    Evaluates the question's functional pair on the base corpus (level 0) and
-    on escalating sharpened variants (levels 1..depth), recording the maximum
-    ratio per level and whether the sequence is monotone nondecreasing.
+    Evaluates the question's functional pair on the default corpus of its
+    dimension (level 0) and on escalating sharpened variants (levels
+    1..depth), recording the maximum ratio per level and whether the
+    sequence is monotone nondecreasing.
     """
     spec = registry_map().get(question)
     if spec is None or spec.kind != "probe":
         known = sorted(e.id for e in registry() if e.kind == "probe")
         raise ValueError(f"unknown probe {question!r}; available: {known}")
     dim = spec.dims[0]
-    if families is None:
-        families = default_families(dim)
-    if grid is None:
-        grid = default_grid(dim)
+    families, grid = default_families(dim), default_grid(dim)
     started = time.perf_counter()
     levels = []
     for level in range(depth + 1):

@@ -180,12 +180,20 @@ def test_render_failures_exit_1(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run_cli("report", "render", "--in", str(empty), "--format", "csv") == 1
-    stale = tmp_path / "stale"
-    stale.mkdir()
-    (stale / "report.json").write_text(json.dumps({"format_version": 99}))
-    assert run_cli("report", "render", "--in", str(stale), "--format", "csv") == 1
-    err = capsys.readouterr().err
-    assert "format_version" in err
+    # a stale version, JSON true (== 1 in Python) and a document that is not
+    # an object all fail the version check: one error line, no csv
+    for name, doc in (("stale", {"format_version": 99}),
+                      ("true-version", {"format_version": True, "reports": []}),
+                      ("list", [{"format_version": 1}])):
+        bad = tmp_path / name
+        bad.mkdir()
+        (bad / "report.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("report", "render", "--in", str(bad), "--format", "csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "format_version" in err
+        assert err.count("\n") == 1
+        assert not (bad / "report.csv").exists()
 
 
 def test_runtime_error_exits_1_with_one_line(flow_dir, tmp_path, capsys):

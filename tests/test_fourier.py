@@ -456,20 +456,26 @@ def test_riesz_multiplier_matches_masked_where(half_extents, points):
             assert new.tobytes() == want.tobytes()
 
 
-def test_ball_maximum_matches_brute_force():
+def _brute_ball_maximum(vals, grid, radius):
+    """Max of vals over the nodes within radius of each node, all pairs at once."""
+    nodes = np.stack([x.ravel() for x in np.meshgrid(
+        *(grid.axis_nodes(ax) for ax in range(grid.dim)), indexing="ij")], axis=-1)
+    d2 = ((nodes[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=-1)
+    inside = d2 <= radius ** 2 * (1 + 1e-12)
+    assert inside.sum(axis=1).max() > 1  # the ball holds more than its center
+    return np.where(inside, vals.ravel(), -np.inf).max(axis=1).reshape(grid.shape)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_maximum_matches_brute_force(dim):
+    # (half extent, points, radius): the 1-d route has no transverse offset,
+    # the 3-d one offsets along two axes
+    L, n, radius = {1: (2.0, 32, 0.7), 2: (2.0, 16, 0.7), 3: (2.0, 8, 1.3)}[dim]
     rng = np.random.default_rng(2)
-    grid = GridSpec.box(2, 2.0, 16)
+    grid = GridSpec.box(dim, L, n)
     vals = rng.uniform(0.0, 1.0, grid.shape)
-    radius = 0.7
-    nodes = [grid.axis_nodes(ax) for ax in range(2)]
-    brute = np.empty_like(vals)
-    for i in range(16):
-        for j in range(16):
-            d2 = (nodes[0][:, None] - nodes[0][i]) ** 2 + \
-                 (nodes[1][None, :] - nodes[1][j]) ** 2
-            brute[i, j] = vals[d2 <= radius ** 2 * (1 + 1e-12)].max()
-    got = fourier._ball_maximum(vals, grid, radius)
-    assert np.array_equal(got, brute)
+    assert np.array_equal(fourier._ball_maximum(vals, grid, radius),
+                          _brute_ball_maximum(vals, grid, radius))
 
 
 def test_ball_maximum_small_and_huge_radius(grid2):
@@ -481,19 +487,17 @@ def test_ball_maximum_small_and_huge_radius(grid2):
 
 
 def test_ball_maximum_radius_past_grid_width():
-    # transverse offsets reaching the full axis length must drop out, not wrap
+    # transverse offsets reaching the full axis length must drop out, not
+    # wrap, and the largest in-box offset, N - 1 cells, must count: a lone
+    # peak in the last row reaches the first
     rng = np.random.default_rng(4)
     grid = GridSpec.box(2, 1.0, 8)
-    vals = rng.uniform(0.0, 1.0, grid.shape)
     radius = 2.2
-    nodes = [grid.axis_nodes(ax) for ax in range(2)]
-    brute = np.empty_like(vals)
-    for i in range(8):
-        for j in range(8):
-            d2 = (nodes[0][:, None] - nodes[0][i]) ** 2 + \
-                 (nodes[1][None, :] - nodes[1][j]) ** 2
-            brute[i, j] = vals[d2 <= radius ** 2 * (1 + 1e-12)].max()
-    assert np.array_equal(fourier._ball_maximum(vals, grid, radius), brute)
+    peak = np.zeros(grid.shape)
+    peak[-1, 0] = 1.0
+    for vals in (rng.uniform(0.0, 1.0, grid.shape), peak):
+        assert np.array_equal(fourier._ball_maximum(vals, grid, radius),
+                              _brute_ball_maximum(vals, grid, radius))
 
 
 def test_cone_derivative_check_holds(grid2):
@@ -531,8 +535,9 @@ def test_cone_derivative_check_matches_full_grid_route(corpus1, corpus2):
 
 def test_sup_integral_functional_is_homogeneous(corpus2):
     member = corpus2[2]
-    base = sup_integral_functional(member.f, 0)
-    scaled = sup_integral_functional(GridFunction(member.grid, 3.0 * member.f.values), 0)
+    base = sup_integral_functional(transform(member.f), 0)
+    scaled = sup_integral_functional(
+        transform(GridFunction(member.grid, 3.0 * member.f.values)), 0)
     assert np.isfinite(base) and base > 0
     assert scaled == pytest.approx(3.0 * base, rel=1e-9)
 

@@ -30,6 +30,11 @@ def test_grid_spec_geometry():
     assert nodes[0] == pytest.approx(-4.0)
     assert nodes[-1] == pytest.approx(4.0 - 0.25)
     assert np.allclose(np.diff(nodes), 0.25)
+    # box takes scalars only; GridSpec itself builds a box with per-axis sizes
+    with pytest.raises(TypeError):
+        GridSpec.box(2, (4.0, 2.0), 32)
+    with pytest.raises(ValueError, match="integers"):
+        GridSpec.box(2, 4.0, (32, 16))
 
 
 def _sweep_specs():
@@ -93,9 +98,11 @@ def test_grid_spec_rejects_fractional_point_counts():
 
 def test_grid_spec_refine_and_drop_axis():
     g = GridSpec(2, (4.0, 2.0), (32, 16))
-    f = g.refine(2)
+    f = g.refine()
     assert f.points == (64, 32)
     assert f.half_extents == g.half_extents
+    with pytest.raises(TypeError):
+        g.refine(2)  # refine always doubles
     d = g.drop_axis(0)
     assert d.dim == 1 and d.half_extents == (2.0,) and d.points == (16,)
 
@@ -221,7 +228,7 @@ def test_smoothstep_matches_the_three_exp_helpers():
 def test_samples_match_the_three_exp_helpers(dim, monkeypatch):
     # every default family on the default, fine and dilated grids of verify
     coarse = verify.default_grid(dim)
-    fine = coarse.refine(2)
+    fine = coarse.refine()
     cases = []
     for fam in verify.default_families(dim):
         cases += [(fam, coarse), (fam, fine)]
@@ -264,7 +271,7 @@ def test_corpus_generation_is_deterministic(grid1):
 
 def test_corpus_draws_ignore_point_count(grid1):
     # refining the grid resamples the same analytic functions
-    fine = grid1.refine(2)
+    fine = grid1.refine()
     assert corpus_generate(SEED, 8, grid1) == corpus_generate(SEED, 8, fine)
 
 
@@ -296,7 +303,7 @@ def test_dilate_family_matches_rescaled_grid(corpus2):
 def test_dilate_member_is_the_resampled_dilation(dim, seed):
     # the premise of the dilation sweep: on the fine grid of every default
     # member, the rescaled copy is the dilated family sampled on the scaled box
-    fine = verify.default_grid(dim).refine(2)
+    fine = verify.default_grid(dim).refine()
     subnormal_nodes = set()
     for i, fam in enumerate(verify.default_families(dim, seed)):
         member = sample_member(fam, fine)

@@ -50,11 +50,16 @@ def test_registry_has_the_assert_suite():
 def test_inequality_spec_validation():
     entry = registry_map()["bound"]
     with pytest.raises(ValueError):
-        InequalitySpec("x", "wrong", "", (1,), {1: {}}, entry.evaluate)
+        InequalitySpec("x", "wrong", "", {1: {}}, entry.evaluate)
     with pytest.raises(ValueError):
-        InequalitySpec("x", "assert", "", (1,), {1: {}}, entry.evaluate)
-    with pytest.raises(ValueError):
-        InequalitySpec("x", "report", "", (1, 2), {1: {}}, entry.evaluate)
+        InequalitySpec("x", "assert", "", {1: {}}, entry.evaluate)
+    with pytest.raises(ValueError, match="validity window"):
+        InequalitySpec("x", "report", "", {2: {"p": 3.0, "pstar": 2.0}}, entry.evaluate,
+                       valid=registry_map()["sob1"].valid)
+    # the dimensions are the keys of params, in their order
+    assert InequalitySpec("x", "report", "", {2: {}, 3: {}}, entry.evaluate).dims == (2, 3)
+    with pytest.raises(TypeError):
+        InequalitySpec("x", "report", "", {1: {}}, entry.evaluate, dims=(1,))
 
 
 def test_run_rejects_wrong_dim_and_bad_params(corpus1, grid1):
@@ -167,14 +172,14 @@ def test_run_evaluates_the_specs_it_is_given(jobs):
     embed1 = {"p": 2.0, "q": 3.0, "s": 1.0 - (1 / 2.0 - 1 / 3.0)}
     specs = [dataclasses.replace(bound, params={1: {"p": 3.0}}),
              dataclasses.replace(bound, id="custom"),
-             dataclasses.replace(registry_map()["embed1"], dims=(1,), params={1: embed1})]
+             dataclasses.replace(registry_map()["embed1"], params={1: embed1})]
     reports = run(specs, 1, [m.family for m in members], grid, jobs=jobs)
     assert [(r.id, r.params) for r in reports] == [("bound", {"p": 3.0}),
                                                    ("custom", {"p": 2.0}),
                                                    ("embed1", embed1)]
     for spec, rep in zip(specs, reports):
         for row, m in zip(rep.rows, members):
-            fine = sample_member(m.family, grid.refine(2))
+            fine = sample_member(m.family, grid.refine())
             for grid_name, member in (("coarse", m), ("fine", fine)):
                 lhs, rhs = spec.evaluate(member, spec.params[1])
                 assert (row[f"lhs_{grid_name}"], row[f"rhs_{grid_name}"]) == (lhs, rhs)
@@ -242,7 +247,7 @@ def test_sweep_memo_is_small_and_gone_before_any_spectrum(monkeypatch):
     specs = [registry_map()[i] for i in ("pelcz1", "embed32")]
     verify._evaluate_member((specs, 3, 0, fam, grid))
     # one memo, attached to the fine sample and its two copies, then detached
-    fine = grid.refine(2)
+    fine = grid.refine()
     assert [(kind, spec.half_extents[0], on) for kind, spec, on in events
             if kind == "share"] == [("share", 4.0, True), ("share", 8.0, True),
                                     ("share", 2.0, True), ("share", 4.0, False)]
@@ -288,7 +293,7 @@ def test_each_family_is_sampled_once_per_grid(monkeypatch):
     assert calls == []
     run_all(ids=["bound", "pelcz"], corpora=corpora, jobs=1)
     pairs = {(fam, g) for families, grid in corpora.values()
-             for fam in families for g in (grid, grid.refine(2))}
+             for fam in families for g in (grid, grid.refine())}
     assert len(calls) == len(pairs) == 12 and set(calls) == pairs
 
 
@@ -346,10 +351,13 @@ def test_escalate_family_sharpens():
     assert escalate_family(gauss, 0) is gauss
 
 
-def test_probe_structure(tmp_path):
+def test_probe_structure(tmp_path, monkeypatch):
+    # probe runs on the default corpus; a small one keeps this test fast
     grid = GridSpec.box(2, 4.0, 16)
-    families = corpus_generate(SEED, 2, grid)
-    out = probe("obertype_n2", depth=1, families=families, grid=grid)
+    monkeypatch.setattr(verify, "default_grid", lambda dim: grid)
+    monkeypatch.setattr(verify, "default_families", lambda dim: corpus_generate(SEED, 2, grid))
+    out = probe("obertype_n2", depth=1)
+    assert [len(lv["rows"]) for lv in out["levels"]] == [2, 2]
     assert out["label"] == "OPEN QUESTION — no asserted direction"
     assert out["depth"] == 1 and len(out["levels"]) == 2
     assert out["max_ratios"] == [lv["max_ratio"] for lv in out["levels"]]
@@ -365,6 +373,8 @@ def test_probe_rejects_non_probe_ids():
         probe("bound")
     with pytest.raises(ValueError):
         probe("no_such_question")
+    with pytest.raises(TypeError):
+        probe("obertype_n2", families=[])  # a probe runs on the default corpus
 
 
 # -- sides against the evaluators they replaced --------------------------------
