@@ -332,6 +332,12 @@ def cone_derivative_check(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _check_spectrum(F) -> None:
+    """Raise TypeError unless F is a SpectralFunction: real samples go through transform first."""
+    if not isinstance(F, SpectralFunction):
+        raise TypeError(f"expected a SpectralFunction (see transform), got {type(F).__name__}")
+
+
 def _check_slab_axis(spec: GridSpec, axis) -> None:
     if spec.dim < 2:
         raise ValueError("needs at least 2 frequency axes")
@@ -408,6 +414,7 @@ def sup_integral_functional(F: SpectralFunction, axis) -> float:
     per-threshold route on the full spectrum (slab sup,
     decreasing_rearrangement, double_star) bit for bit.
     """
+    _check_spectrum(F)
     _check_slab_axis(F.spec, axis)
     n = F.spec.dim
     t_hi = F.spec.half_extents[axis]
@@ -587,6 +594,7 @@ def dyadic_shell_terms(F: SpectralFunction):
     radius up to the last bits, and the map_coordinates rule to 1e-13
     relative.
     """
+    _check_spectrum(F)
     ks = np.array(_shell_range(F.spec))
     sums = _shell_values(F, _shell_operator(F.spec))
     return ks, sums.reshape(len(ks), _SHELL_RADII).max(axis=1, initial=0.0)
@@ -632,6 +640,7 @@ def cube_shell_sum(F: SpectralFunction) -> float:
     |xi_j| = N/2 h, the Nyquist node -N/2 h: it is one node of the half on
     every axis, and its own reflection in the faces of a head axis.
     """
+    _check_spectrum(F)
     spec = F.spec
     if spec.dim < 2:
         raise ValueError("needs at least 2 frequency axes")
@@ -709,6 +718,7 @@ def weighted_fourier_integral(F: SpectralFunction, gamma: float) -> WeightedInte
     in exact arithmetic; in floating point the sums run in another order, so
     the values move in the last bits against the full-grid rule.
     """
+    _check_spectrum(F)
     spec = F.spec
     av = np.abs(F.values)
     for axis in range(spec.dim - 1):

@@ -163,8 +163,9 @@ class GridSpec:
 class GridFunction:
     """Immutable real samples on a GridSpec.
 
-    values are normalized to float64 and frozen (the array is copied and
-    marked read-only); complex values raise ValueError.  Because nothing can
+    values are normalized to C-contiguous float64 and frozen (the array is
+    copied in C order and marked read-only); complex values raise
+    ValueError.  Every kernel may rely on the C layout.  Because nothing can
     change, fourier.transform caches its result on the instance.
     """
 
@@ -182,7 +183,7 @@ class GridFunction:
             raise ValueError(f"values shape {arr.shape} does not match grid {self.spec.shape}")
         if np.iscomplexobj(arr):
             raise ValueError("values must be real")
-        arr = arr.astype(np.float64, copy=True)
+        arr = arr.astype(np.float64, order="C", copy=True)
         if not np.isfinite(arr).all():
             raise ValueError("values must be finite")
         arr.setflags(write=False)
@@ -196,14 +197,16 @@ class GridFunction:
 def _owned(cls, spec: GridSpec, values: np.ndarray):
     """cls(spec, values) over values itself, for an array nothing writes to.
 
-    Checks the shape and dtype of cls._layout(spec) and the finiteness, as
-    the constructors do, and marks values read-only, but does not copy it.
-    cls is GridFunction or fourier.SpectralFunction.
+    Checks the shape and dtype of cls._layout(spec), the C layout and the
+    finiteness, as the constructors ensure them, and marks values read-only,
+    but does not copy it.  cls is GridFunction or fourier.SpectralFunction.
     """
     shape, dtype = cls._layout(spec)
     if values.shape != shape or values.dtype != dtype:
         raise ValueError(f"{values.dtype} values of shape {values.shape} do not match "
                          f"{dtype.__name__} of shape {shape} on grid {spec.shape}")
+    if not values.flags.c_contiguous:
+        raise ValueError("values must be C-contiguous")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     values.setflags(write=False)
@@ -394,9 +397,7 @@ _FIELDS: dict[str, Callable] = {
 
 
 def _support_radius(fam: FamilySpec, axis) -> float:
-    """Half-width of the support along axis (inf for gaussians)."""
-    if fam.family in ("gaussian", "anisotropic_gaussian"):
-        return math.inf
+    """Half-width of the support along axis of a compactly supported family."""
     if fam.family in ("tensor_bump", "windowed_trig"):
         return fam.width[axis]
     if fam.family == "mollified_indicator":
@@ -437,8 +438,7 @@ def tail_fraction(fam: FamilySpec, grid: GridSpec) -> float:
 
 
 def _grid_function(grid: GridSpec, vals) -> GridFunction:
-    vals = np.broadcast_to(vals, grid.shape)
-    return GridFunction(grid, np.ascontiguousarray(vals, dtype=float))
+    return GridFunction(grid, np.broadcast_to(vals, grid.shape))
 
 
 def _check_tail(fam: FamilySpec, grid: GridSpec) -> None:

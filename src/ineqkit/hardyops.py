@@ -4,10 +4,10 @@ Inputs are nonnegative functions sampled on a geometric grid in (0, oo),
 wrapped in RaySamples.  Between samples the function is modelled as a power
 law through the two endpoints (a chord in log-log coordinates), falling back
 to a linear chord when an endpoint vanishes; each segment is then integrated
-in closed form.  Beyond the sampled range the edge power law extends the
-function when the corresponding flag is set, otherwise the function is zero
-there.  A tail whose model fails to be integrable makes the affected integral
-+inf rather than raising.
+in closed form.  Beyond the sampled range, on both sides, the edge segment's
+power law extends the function; an edge value of 0 ends it there instead.  A
+tail whose model fails to be integrable makes the affected integral +inf
+rather than raising.
 
 doublestar_bound_check is the exception: it consumes a grid function, whose
 rearrangement is an exact step profile, and evaluates everything piecewise in
@@ -40,16 +40,12 @@ __all__ = [
 class RaySamples:
     """A nonnegative function on (0, oo) known at increasing sample points.
 
-    extrapolate_low / extrapolate_high extend the edge segments' power laws
-    below ts[0] and above ts[-1]; with a flag off the function vanishes on
-    that side.
+    The edge segments' power laws extend it below ts[0] and above ts[-1]; a
+    zero edge value makes it vanish on that side.
     """
 
     ts: np.ndarray
     values: np.ndarray
-
-    extrapolate_low: bool = False
-    extrapolate_high: bool = False
 
     def __post_init__(self):
         ts = np.asarray(self.ts, dtype=np.float64)
@@ -74,7 +70,7 @@ def _edge_exponent(t0, v0, t1, v1) -> float:
 
 def _low_tail(ray: RaySamples) -> float:
     """Integral over (0, ts[0]) of the extrapolated model."""
-    if not ray.extrapolate_low or ray.values[0] == 0:
+    if ray.values[0] == 0:
         return 0.0
     t0, v0 = ray.ts[0], ray.values[0]
     expo = _edge_exponent(t0, v0, ray.ts[1], ray.values[1])
@@ -85,7 +81,7 @@ def _low_tail(ray: RaySamples) -> float:
 
 def _high_tail(ray: RaySamples) -> float:
     """Integral over (ts[-1], oo) of the extrapolated model."""
-    if not ray.extrapolate_high or ray.values[-1] == 0:
+    if ray.values[-1] == 0:
         return 0.0
     t1, v1 = ray.ts[-1], ray.values[-1]
     expo = _edge_exponent(ray.ts[-2], ray.values[-2], t1, v1)
@@ -129,12 +125,10 @@ def hardy_check(ray: RaySamples, lam: float, p: float) -> tuple[float, float]:
     cum = cumulative_integral(ray)
     if not np.all(np.isfinite(cum)):
         return math.inf, math.inf
-    # both derived integrands vanish where their source does, so leaving the
-    # extrapolation on is safe: a zero edge value shuts the tail off
-    lhs_ray = RaySamples(ray.ts, (ray.ts ** (lam - 1.0) * cum) ** p / ray.ts,
-                         extrapolate_low=True, extrapolate_high=True)
-    rhs_ray = RaySamples(ray.ts, (ray.ts ** lam * ray.values) ** p / ray.ts,
-                         extrapolate_low=True, extrapolate_high=True)
+    # both derived integrands vanish where their source does, so a zero edge
+    # value of the source shuts their tail off too
+    lhs_ray = RaySamples(ray.ts, (ray.ts ** (lam - 1.0) * cum) ** p / ray.ts)
+    rhs_ray = RaySamples(ray.ts, (ray.ts ** lam * ray.values) ** p / ray.ts)
     lhs = ray_integral(lhs_ray) ** (1.0 / p)
     rhs_int = ray_integral(rhs_ray)
     return float(lhs), float(rhs_int ** (1.0 / p) / (1.0 - lam))

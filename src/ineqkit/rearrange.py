@@ -80,24 +80,22 @@ class DecreasingProfile:
         return float(self._cum_integral[-1]) if self.values.size else 0.0
 
     def value_at(self, t):
-        """Profile value at measure t >= 0 (right-continuous step evaluation)."""
+        """Profile values at the measures t >= 0 (right-continuous), an array of t's shape."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("t must be nonnegative")
         if not self.values.size:
-            return np.zeros(t.shape) if t.shape else 0.0
+            return np.zeros(t.shape)
         idx = np.searchsorted(self.breakpoints, t, side="right")
-        padded = np.append(self.values, 0.0)
-        out = padded[idx]
-        return out if t.shape else float(out)
+        return np.append(self.values, 0.0)[idx]
 
     def integral_up_to(self, t):
-        """Exact integral of the profile over (0, t]."""
+        """Exact integrals of the profile over (0, t], an array of t's shape."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("t must be nonnegative")
         if not self.values.size:
-            return np.zeros(t.shape) if t.shape else 0.0
+            return np.zeros(t.shape)
         breaks = self.breakpoints
         idx = np.searchsorted(breaks, t, side="right")
         full = np.concatenate(([0.0], self._cum_integral))[idx]
@@ -105,8 +103,7 @@ class DecreasingProfile:
         padded_vals = np.append(self.values, 0.0)
         # past the support the partial run is empty, also at t = inf (no 0 * inf)
         partial = padded_vals[idx] * np.clip(np.minimum(t, breaks[-1]) - prev_break, 0.0, None)
-        out = full + partial
-        return out if t.shape else float(out)
+        return full + partial
 
     def level_measure(self, y) -> float:
         """Measure of {profile > y}; exact (integer count times cell volume)."""
@@ -128,12 +125,11 @@ def decreasing_rearrangement(f: GridFunction) -> DecreasingProfile:
 
 
 def double_star(profile: DecreasingProfile, t):
-    """Running average (1/t) * integral_0^t of the profile; t > 0 (scalar or array)."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    """Running averages (1/t) * integral_0^t of the profile at t > 0, an array of t's shape."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
         raise ValueError("t must be positive")
-    out = profile.integral_up_to(t_arr) / t_arr
-    return out if t_arr.shape else float(out)
+    return profile.integral_up_to(t) / t
 
 
 def distribution_function(f: GridFunction, y) -> float:
@@ -169,20 +165,6 @@ class IteratedProfile:
             raise ValueError("steps must be positive")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
-
-    @property
-    def cell_measure(self) -> float:
-        return self.row_step * self.col_step
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.table.sum()) * self.cell_measure
-
-    def level_measure(self, y) -> float:
-        """Product measure of {table > y}; exact."""
-        if y < 0:
-            raise ValueError("y must be nonnegative")
-        return int(np.count_nonzero(self.table > y)) * self.cell_measure
 
 
 def iterated_rearrangement(f: GridFunction) -> IteratedProfile:

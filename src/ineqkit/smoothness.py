@@ -30,9 +30,11 @@ difference and absolute value, which is reduced in place.  Every norm
 equals that of a fresh zero-filled difference of the whole array bit for
 bit:
 
-- The overlap of C-contiguous samples is subtracted in one pass over the
-  flattened array along any axis; the elements whose partner crossed into
-  the next line lie in the tail, which is then filled with 0 - f.
+- Samples are C-contiguous (GridFunction stores them so), and so is every
+  crop and scratch array made from them.  The overlap is subtracted in one
+  pass over the flattened array along any axis; the elements whose partner
+  crossed into the next line lie in the tail, which is then filled with
+  0 - f.
 - Lorentz and Mixed bases work on the support: f is cropped to the bounding
   box of its nonzero samples along the axes where the difference vanishes
   on whole lines (all but the shift axis, and for Mixed also its inner
@@ -106,10 +108,9 @@ def _shift_multiple(f: GridFunction, axis, h) -> int:
 
 def _integer_multiples(multiples) -> np.ndarray:
     ms = np.asarray(multiples)
-    if ms.ndim != 1 or ms.dtype.kind not in "iuf":
-        raise ValueError(f"shift multiples must be a 1-d sequence of integers, got {multiples!r}")
-    if ms.dtype.kind == "f" and not (np.isfinite(ms).all() and (ms == np.round(ms)).all()):
-        raise ValueError(f"shift multiples must be integers, got {multiples!r}")
+    if ms.ndim != 1 or ms.size == 0 or ms.dtype.kind not in "iu":
+        raise ValueError("shift multiples must be a nonempty 1-d array of integers, "
+                         f"got {multiples!r}")
     return ms.astype(np.int64)
 
 
@@ -117,13 +118,13 @@ def _difference_values(values: np.ndarray, axis, m: int, out=None) -> np.ndarray
     """Samples of f(x + m h e_axis) - f(x), zero fill outside the box.
 
     Only the overlap is subtracted; the tail is 0 - f, so every value equals
-    that of the zero-filled shift minus f bit for bit.  When values and out
-    are both C-contiguous the overlap is one subtraction on the flattened
-    arrays, whatever the axis: x + m e_axis lies m times the axis stride
+    that of the zero-filled shift minus f bit for bit.  values and out must
+    be C-contiguous: the overlap is one subtraction on the flattened arrays,
+    whatever the axis, and a flattened view of any other layout would be a
+    copy, whose writes are lost.  x + m e_axis lies m times the axis stride
     further along the flat order, and every element whose partner crossed
     into the next line lies in the tail, which the tail fill then
-    overwrites.  Each element is one subtraction of the same two samples
-    either way.  Every element of out (a fresh array when None) is written,
+    overwrites.  Every element of out (a fresh array when None) is written,
     so a scratch buffer of the shape of values can be reused across shifts.
     """
     if out is None:
@@ -131,13 +132,9 @@ def _difference_values(values: np.ndarray, axis, m: int, out=None) -> np.ndarray
     n = values.shape[axis]
     k = min(abs(m), n)
     head = (slice(None),) * axis
-    if values.flags.c_contiguous and out.flags.c_contiguous:
-        v, o = values.reshape(-1), out.reshape(-1)
-        d = k * math.prod(values.shape[axis + 1:])
-        lo, hi = slice(None, v.size - d), slice(d, None)
-    else:
-        v, o = values, out
-        lo, hi = head + (slice(None, n - k),), head + (slice(k, None),)
+    v, o = values.reshape(-1), out.reshape(-1)
+    d = k * math.prod(values.shape[axis + 1:])
+    lo, hi = slice(None, v.size - d), slice(d, None)
     if m >= 0:
         np.subtract(v[hi], v[lo], out=o[lo])
         tail = head + (slice(n - k, None),)
@@ -220,8 +217,8 @@ def _reductions(vals: np.ndarray, axis, shifts, base: NormSpec) -> list:
     box = _support_box(vals, _crop_axes(base, axis, vals.ndim))
     sub = vals[box]
     if sub.shape != vals.shape:
-        # order "K" keeps the layout, so the inner sums run as on the whole array
-        sub = sub.copy(order="K")
+        # C order, as vals has, so the inner sums run as on the whole array
+        sub = sub.copy()
     at = box[:base.axis] + box[base.axis + 1:] if isinstance(base, Mixed) else None
     buf = np.empty_like(sub)
     out = []
@@ -251,11 +248,11 @@ def _share_reductions(f: GridFunction, source: Optional[GridFunction]) -> None:
 def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.ndarray:
     """Norms of f(. + m h e_axis) - f at the given shift multiples m.
 
-    Contract: axis lies in [0, dim), every multiple is an integer (integral
-    floats are accepted; any other value raises ValueError), base is a norm
-    norm_of_values can evaluate on the grid (checked on entry, with its
-    errors, whatever the shifts), and points shifted outside the box count as
-    zero.  Shift 0 has norm 0.  For |m| >= N, N the points on the axis, the
+    Contract: axis lies in [0, dim), multiples is a nonempty 1-d array of
+    integers (anything else, integral floats too, raises ValueError), base
+    is a norm norm_of_values can evaluate on the grid (checked on entry,
+    with its errors, whatever the shifts), and points shifted outside the
+    box count as zero.  Shift 0 has norm 0.  For |m| >= N, N the points on the axis, the
     difference is exactly -f, so its norm is the norm of f, evaluated once
     per call as the shift N.  Other shifts subtract on the overlap only.  For
     1-d samples and a Lebesgue base they are reduced in batches.
@@ -267,8 +264,8 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     difference, vanishes on every line along the shift axis.  A Lorentz norm
     drops those zeros before it sorts.  A Mixed base writes the inner norms
     of the block into a zero-filled table of the full shape and reduces that
-    table, so the outer sums run in the same order.  The block keeps the
-    layout of f.values, so the inner sums do too.  The call allocates one
+    table, so the outer sums run in the same order.  The block is C-ordered,
+    as f.values is, so the inner sums do too.  The call allocates one
     scratch array of the block's shape, and each norm equals that of a
     fresh difference of the whole array bit for bit.  The crop depends only on the
     data: a function with no zero sample runs on the whole grid.
@@ -457,10 +454,11 @@ def ulyanov_pointwise(f: GridFunction, p: float, t):
         raise ValueError("defined for 1-d functions")
     ts = _measures(t)
     prof = decreasing_rearrangement(f)
-    lhs = [double_star(prof, s) - prof.value_at(s) for s in ts]
+    lhs = double_star(prof, ts) - prof.value_at(ts)
     omega = _moduli_at(f, 0, ts, Lebesgue(p))
+    # numpy's vectorised power may differ from the scalar one in the last bit
     rhs = [2.0 * s ** (-1.0 / p) * w for s, w in zip(ts, omega)]
-    return np.array(lhs, dtype=float), np.array(rhs, dtype=float)
+    return lhs, np.array(rhs, dtype=float)
 
 
 def ulyanov_tail(f: GridFunction, p: float, t):
@@ -483,7 +481,7 @@ def ulyanov_tail(f: GridFunction, p: float, t):
     step = grid.spacing[0]
     s_max = 4.0 * grid.half_extents[0]
     prof = decreasing_rearrangement(f)
-    lhs = [prof.value_at(s) for s in ts]
+    lhs = prof.value_at(ts)
 
     nodes = [_snapped_nodes(s, s_max, step) if s < s_max
              else (np.empty(0, dtype=np.int64), np.empty(0)) for s in ts]
@@ -500,4 +498,4 @@ def ulyanov_tail(f: GridFunction, p: float, t):
         tail_from = max(s, s_max)
         tail = 2.0 * fnorm * p * tail_from ** (-1.0 / p)
         rhs.append(2.0 * (finite + tail))
-    return np.array(lhs, dtype=float), np.array(rhs, dtype=float)
+    return lhs, np.array(rhs, dtype=float)

@@ -129,16 +129,13 @@ def _eval_hardy(member, params):
         return 0.0, 0.0
     support = prof.support_measure
     ts = np.geomspace(support * 1e-3, support * 2.0, 96)
-    star = np.asarray(prof.value_at(ts), dtype=float)
-    pairs = [hardy_check(RaySamples(ts, star, extrapolate_low=True), lam, p)]
+    pairs = [hardy_check(RaySamples(ts, prof.value_at(ts)), lam, p)]
 
     # the gap integral grows like log t, so the ray must reach far enough for
     # the fitted tail exponent of the averaged side to drop below -1
     ts2 = np.geomspace(support * 1e-3, support * 64.0, 128)
     gap = double_star(prof, ts2) - prof.value_at(ts2)
-    pairs.append(hardy_check(
-        RaySamples(ts2, np.maximum(gap, 0.0), extrapolate_low=True,
-                   extrapolate_high=True), lam, p))
+    pairs.append(hardy_check(RaySamples(ts2, np.maximum(gap, 0.0)), lam, p))
     lhs, rhs_bound = _worst_pair(pairs)
     return lhs, rhs_bound * (1.0 - lam)
 

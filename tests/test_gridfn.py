@@ -147,6 +147,28 @@ def test_grid_function_rejects_complex_values(grid1):
     assert GridFunction(grid1, np.ones(grid1.shape, dtype=np.float32)).values.dtype == np.float64
 
 
+def test_grid_function_stores_c_contiguous_values(grid2):
+    # the difference kernels subtract on flattened views of the samples,
+    # which would be copies, and lose their writes, in any other layout
+    rng = np.random.default_rng(SEED)
+    fortran = np.asfortranarray(rng.standard_normal(grid2.shape))
+    strided = rng.standard_normal(tuple(2 * n for n in grid2.shape))[::2, ::2]
+    for vals in (fortran, strided):
+        assert not vals.flags.c_contiguous
+        f = GridFunction(grid2, vals)
+        assert f.values.flags.c_contiguous
+        assert np.array_equal(f.values, vals)
+
+
+def test_owned_rejects_values_that_are_not_c_contiguous(grid2):
+    # _owned wraps an array without copying it, so it checks the layout
+    vals = np.asfortranarray(np.ones(grid2.shape))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        gridfn._owned(GridFunction, grid2, vals)
+    f = gridfn._owned(GridFunction, grid2, np.ascontiguousarray(vals))
+    assert f.values.flags.c_contiguous and not f.values.flags.writeable
+
+
 # -- families ----------------------------------------------------------------
 
 

@@ -21,7 +21,7 @@ def padded_ray(fn, support, t_max=64.0, nodes=1500):
     """Dense ray sampling fn on (0, t_max], zero beyond its support."""
     ts = np.geomspace(1e-3, t_max, nodes)
     vals = np.where(ts <= support, fn(ts), 0.0)
-    return RaySamples(ts, vals, extrapolate_low=True)
+    return RaySamples(ts, vals)
 
 
 def test_ray_samples_validation():
@@ -36,38 +36,50 @@ def test_ray_samples_validation():
     ray = RaySamples(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         ray.values[0] = 3.0
+    # both tails always extend: there is no flag to turn one off
+    for flag in ("extrapolate_low", "extrapolate_high"):
+        with pytest.raises(TypeError):
+            RaySamples(ray.ts, ray.values, **{flag: True})
 
 
 def test_ray_integral_pure_power_with_tails():
-    # t^-2 on [1, 4]: segments give 3/4 exactly; the high tail adds
-    # int_4^inf t^-2 = 1/4
+    # t^-2 on [1, 4]: segments give 3/4 exactly.  A zero edge value ends a
+    # tail: a 0 at t = 1/2 adds the linear chord's 1/4 below and no low tail
     ts = np.geomspace(1.0, 4.0, 16)
     vals = ts ** -2.0
-    no_tail = RaySamples(ts, vals)
-    assert ray_integral(no_tail) == pytest.approx(0.75, rel=1e-12)
-    with_tail = RaySamples(ts, vals, extrapolate_high=True)
-    assert ray_integral(with_tail) == pytest.approx(1.0, rel=1e-12)
+    lo_ts, lo_vals = np.concatenate(([0.5], ts)), np.concatenate(([0.0], vals))
+    # a 0 at t = 8 adds the chord's 1/8 above and no high tail
+    no_tail = RaySamples(np.append(lo_ts, 8.0), np.append(lo_vals, 0.0))
+    assert ray_integral(no_tail) == pytest.approx(0.25 + 0.75 + 0.125, rel=1e-12)
+    # the high tail adds int_4^inf t^-2 = 1/4
+    with_tail = RaySamples(lo_ts, lo_vals)
+    assert ray_integral(with_tail) == pytest.approx(0.25 + 0.75 + 0.25, rel=1e-12)
     # extending t^-2 to zero diverges
-    diverging = RaySamples(ts, vals, extrapolate_low=True)
+    diverging = RaySamples(ts, vals)
     assert ray_integral(diverging) == math.inf
 
 
 def test_ray_integral_growing_power():
     ts = np.geomspace(1.0, 4.0, 16)
-    low = RaySamples(ts, ts, extrapolate_low=True)
-    # int_0^4 t dt = 8
-    assert ray_integral(low) == pytest.approx(8.0, rel=1e-12)
-    high = RaySamples(ts, ts, extrapolate_high=True)
-    assert ray_integral(high) == math.inf
+    # int_0^4 t dt = 8, and the chord from 4 down to a 0 at t = 8 adds 8
+    low = RaySamples(np.append(ts, 8.0), np.append(ts, 0.0))
+    assert ray_integral(low) == pytest.approx(16.0, rel=1e-12)
+    both = RaySamples(ts, ts)
+    assert ray_integral(both) == math.inf
 
 
 def test_cumulative_integral_monotone():
     ts = np.geomspace(0.5, 8.0, 32)
-    ray = RaySamples(ts, np.exp(-ts), extrapolate_low=True)
+    vals = np.exp(-ts)
+    ray = RaySamples(ts, vals)
     cum = cumulative_integral(ray)
     assert cum.shape == ts.shape
     assert np.all(np.diff(cum) >= 0)
-    assert cum[-1] == pytest.approx(ray_integral(ray), rel=1e-12)
+    # ray_integral adds the high tail of the last segment's power law v t^e
+    e = math.log(vals[-1] / vals[-2]) / math.log(ts[-1] / ts[-2])
+    high = vals[-1] * ts[-1] / (-e - 1.0)
+    assert high > 0
+    assert cum[-1] + high == pytest.approx(ray_integral(ray), rel=1e-12)
 
 
 def test_hardy_equality_case():
@@ -100,7 +112,7 @@ def test_hardy_check_validation():
 def test_hardy_divergent_cumulative_reports_inf():
     # phi ~ t^-2 near zero is not integrable at the origin
     ts = np.geomspace(0.01, 1.0, 64)
-    ray = RaySamples(ts, ts ** -2.0, extrapolate_low=True)
+    ray = RaySamples(ts, ts ** -2.0)
     assert hardy_check(ray, 0.0, 1.0) == (math.inf, math.inf)
 
 

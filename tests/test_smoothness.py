@@ -127,9 +127,6 @@ def _support_cases(grid):
 def test_difference_norms_match_naive_loop(grid, bases):
     # the six families: compact members crop to their support, Gaussians do not
     fs = [member.f for member in sampled_corpus(SEED, 6, grid)] + _support_cases(grid)
-    # Fortran-ordered copies, whose sums run in their own layout
-    if grid.dim > 1:
-        fs += [GridFunction(grid, np.asfortranarray(f.values)) for f in fs]
     for text in bases:
         base = parse_norm(text)
         for f in fs:
@@ -195,10 +192,8 @@ def _moveaxis_difference(values, axis, m):
 def test_difference_values_match_moveaxis_oracle(shape):
     rng = np.random.default_rng(SEED)
     real = rng.standard_normal(shape)
-    arrays = [real, np.asfortranarray(real), real + 1j * rng.standard_normal(shape),
-              # a non-contiguous view takes the strided path
-              rng.standard_normal(tuple(2 * k for k in shape))[(slice(None, None, 2),) * len(shape)]]
-    for values in arrays:
+    # C-contiguous, as GridFunction stores its values
+    for values in (real, real + 1j * rng.standard_normal(shape)):
         for axis, n in enumerate(shape):
             for m in (1, -1, n - 1, 1 - n, n, -n, 2 * n, -2 * n):
                 want = _moveaxis_difference(values, axis, m)
@@ -239,7 +234,7 @@ def test_difference_norms_reject_bad_input(corpus1, corpus2):
     with pytest.raises(ValueError):
         difference_norms(corpus2[0].f, 2, [1], Lebesgue(1.0))
     # the base is checked whatever the shifts, with norm_of_values' errors
-    for ms in ([0], [], [1]):
+    for ms in ([0], [1]):
         with pytest.raises(ValueError, match="mixed norms need dim >= 2"):
             difference_norms(f, 0, ms, Mixed(0, Lebesgue(1.0), Lebesgue(1.0)))
         # a norm text is parsed by the caller (parse_norm), not here
@@ -252,9 +247,10 @@ def test_difference_norms_reject_bad_input(corpus1, corpus2):
         norm_of_values(f.values, f.spec, "Leb(1)")
     with pytest.raises(TypeError, match="unsupported norm spec"):
         besov_seminorm(f, BesovSpec(0.5, 2.0, 0, "Leb(1)"), deriv=corpus1[0].derivs[0])
-    # integral floats are integer multiples
-    assert np.array_equal(difference_norms(f, 0, [2.0, -3.0], Lebesgue(1.0)),
-                          difference_norms(f, 0, [2, -3], Lebesgue(1.0)))
+    # multiples are a nonempty 1-d integer array: integral floats are not
+    for ms in ([2.0, -3.0], [], np.array([], dtype=int), [[1]], [True]):
+        with pytest.raises(ValueError, match="nonempty 1-d array of integers"):
+            difference_norms(f, 0, ms, Lebesgue(1.0))
 
 
 def test_modulus_cost_is_capped_at_the_box(corpus1, monkeypatch):
