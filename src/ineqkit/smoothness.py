@@ -106,12 +106,19 @@ def _shift_multiple(f: GridFunction, axis, h) -> int:
     return m_int
 
 
-def _integer_multiples(multiples) -> np.ndarray:
+def _integer_multiples(multiples, n: int) -> np.ndarray:
+    """multiples as int64, each |m| capped at n first in its own dtype.
+
+    Every shift with |m| >= n has the norm of f.  Uncapped, the cast wraps
+    an unsigned multiple past 2^63 into the negatives, and |-2^63|
+    overflows back to -2^63; either slips past the |m| >= n test.
+    """
     ms = np.asarray(multiples)
     if ms.ndim != 1 or ms.size == 0 or ms.dtype.kind not in "iu":
         raise ValueError("shift multiples must be a nonempty 1-d array of integers, "
                          f"got {multiples!r}")
-    return ms.astype(np.int64)
+    info = np.iinfo(ms.dtype)
+    return np.clip(ms, max(-n, info.min), min(n, info.max)).astype(np.int64)
 
 
 def _difference_values(values: np.ndarray, axis, m: int, out=None) -> np.ndarray:
@@ -277,10 +284,10 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     grid only finishes what f reduced.
     """
     _check_axis(axis, f.spec.dim)
-    ms = _integer_multiples(multiples)
     grid = f.spec
-    _check_values_spec(grid, base)
     n = grid.points[axis]
+    ms = _integer_multiples(multiples, n)
+    _check_values_spec(grid, base)
     shifts, where = np.unique(np.where(np.abs(ms) >= n, n, ms), return_inverse=True)
     moved = shifts != 0
     # the reductions of this axis and base: in f's memo, or in a dict of this call

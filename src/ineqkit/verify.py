@@ -17,7 +17,10 @@ integrals over plain, Lorentz and mixed bases, weighted and shell integrals
 of the spectrum), with their exponents written as templates over the entry's
 params.  Each functional is evaluated at most once per member and cached on
 it, so entries that share a side share its work.  The worst-pair and
-derived-exponent entries keep their own evaluators.
+derived-exponent entries keep their own evaluators.  The validity windows
+hold only inequalities.  One scaling rule, checked when an entry is built and
+in run, pins the exponents: where each side of a Sides entry has one degree
+under f -> f(lam .) (_DEGREES), the two agree.
 
 Every member is evaluated at a coarse grid and its 2x refinement; the
 empirical constant is the maximum fine-grid ratio.  Entries with a dilation
@@ -292,10 +295,36 @@ def _cube_shells(member):
     return fourier.cube_shell_sum(fourier.transform(member.f))
 
 
+def _norm_degree(n, text):
+    """-n/p for a norm text, or -1/p_IN - (n-1)/p_OUT for Mix(k; IN; OUT)."""
+    spec = parse_norm(text)
+    if isinstance(spec, Mixed):
+        return -1.0 / spec.inner.p - (n - 1) / spec.outer.p
+    return -n / spec.p
+
+
+# Degree d of each functional, given n and the resolved args: its value at
+# x -> f(lam x) is lam^d times that at f.  Kept off the specs the pool pickles.
+_DEGREES = {
+    _norm: _norm_degree,
+    **dict.fromkeys((_grad, _deriv_norms), lambda n, p: 1.0 - n / float(p)),
+    **dict.fromkeys((_h1, _h1_sum, _slab_sups, _cube_shells), lambda n, *k: 1.0 - n),
+    _besov: lambda n, alpha, theta, base, modulus=False, power=False:
+        (float(alpha) + _norm_degree(n, base)) * (float(theta) if power else 1.0),
+    _besov_sum: lambda n, alpha, theta, base: float(alpha) + _norm_degree(n, base),
+    _weighted: lambda n, shift, k=None: shift - n + (k is not None),
+    _weighted_sum: lambda n, shift: shift - n + 1.0,
+    _shells: lambda n, shift, k=None: shift - n - 1.0 + (k is not None),
+}
+
+
+def _resolve(args, params):
+    return tuple(a.format_map(params) if isinstance(a, str) else a for a in args)
+
+
 def _side(member, terms, params):
     """Sum of the terms (functional, *args), in order; str args are templates."""
-    return sum(_value(member, functional,
-                      *(a.format_map(params) if isinstance(a, str) else a for a in args))
+    return sum(_value(member, functional, *_resolve(args, params))
                for functional, *args in terms)
 
 
@@ -305,7 +334,8 @@ class Sides:
 
     lhs and rhs are tuples of terms (functional, *args).  A str arg is a
     str.format template over the params a run is given, resolved per call,
-    so a spec whose params are replaced evaluates the new ones.
+    so a spec whose params are replaced evaluates the new ones.  balanced
+    compares the degrees of the sides under f -> f(lam .) (_DEGREES).
     """
 
     lhs: tuple
@@ -313,6 +343,18 @@ class Sides:
 
     def __call__(self, member: CorpusMember, params: dict) -> tuple[float, float]:
         return _side(member, self.lhs, params), _side(member, self.rhs, params)
+
+    def balanced(self, dim: int, params: dict) -> bool:
+        """Whether the sides agree in degree to 1e-12, or a side mixes two (diff)."""
+        lhs, rhs = ([_DEGREES[functional](dim, *_resolve(args, params))
+                     for functional, *args in side] for side in (self.lhs, self.rhs))
+        one = max(lhs) - min(lhs) <= 1e-12 and max(rhs) - min(rhs) <= 1e-12
+        return not one or abs(lhs[0] - rhs[0]) <= 1e-12
+
+
+_EMBED1 = Sides(((_besov_sum, "{s}", "{p}", "Lor({q},{p})"),), ((_deriv_norms, "{p}"),))
+_EMBED32 = Sides(((_besov_sum, "{alpha}", "{p}", "Mix(0;Leb({p});Lor({q},{p}))"),),
+                 ((_deriv_norms, "{p}"),))
 
 
 # ---------------------------------------------------------------------------
@@ -325,36 +367,27 @@ def _valid_always(dim, params):
 
 
 def _valid_sobolev(dim, params):
-    p = params["p"]
-    return dim >= 2 and 1 <= p < dim and \
-        abs(params["pstar"] - dim * p / (dim - p)) < 1e-12
+    return dim >= 2 and 1 <= params["p"] < dim
 
 
 def _valid_embed1(dim, params):
     p, q = params["p"], params["q"]
     if not ((p > 1 and dim >= 1) or (p == 1 and dim >= 2)):
         return False
-    return p < q < math.inf and params["s"] > 0 and \
-        abs(params["s"] - (1 - dim * (1 / p - 1 / q))) < 1e-12
+    return p < q < math.inf and params["s"] > 0
 
 
 def _valid_embed32(dim, params):
     p, q = params["p"], params["q"]
     if not ((p > 1 and dim >= 2) or (p == 1 and dim >= 3)):
         return False
-    return p < q < math.inf and params["alpha"] > 0 and \
-        abs(params["alpha"] - (1 - (dim - 1) * (1 / p - 1 / q))) < 1e-12
+    return p < q < math.inf and params["alpha"] > 0
 
 
 def _valid_hardy_refined(dim, params):
-    # the admissible window is 1 < q < (dim-1)/(dim-2), open-ended when
-    # dim == 2; alpha is forced by q
+    # the admissible window is 1 < q < (dim-1)/(dim-2), open-ended when dim == 2
     q = params["q"]
-    if dim < 2 or not q > 1:
-        return False
-    if dim > 2 and q >= (dim - 1) / (dim - 2):
-        return False
-    return abs(params["alpha"] - (1 - (dim - 1) * (1 - 1 / q))) < 1e-12
+    return dim >= 2 and q > 1 and (dim == 2 or q < (dim - 1) / (dim - 2))
 
 
 def _valid_ulyanov_pair(dim, params):
@@ -366,6 +399,8 @@ def _valid_diff(dim, params):
     p, q = params["p"], params["q"]
     if not (1 <= p < q < math.inf and params["theta"] >= 1):
         return False
+    # each side adds a norm to a seminorm of another degree, so the degree
+    # check skips diff; beta balances the seminorm terms alone
     beta = params["alpha"] - dim * (1 / p - 1 / q)
     return 0 < params["alpha"] < 1 and beta > 0 and \
         abs(params["beta"] - beta) < 1e-12
@@ -398,7 +433,9 @@ def _valid_probe_embed32(dim, params):
 
 
 def _valid_compare(dim, params):
-    return _valid_embed1(dim, params) and _valid_embed32(dim, params)
+    # the sides fix only s - alpha; each embedding's own sides pin s and alpha
+    return _valid_embed1(dim, params) and _valid_embed32(dim, params) and \
+        _EMBED1.balanced(dim, params) and _EMBED32.balanced(dim, params)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +447,8 @@ def _valid_compare(dim, params):
 class InequalitySpec:
     """One inequality: paired functionals plus its validity window.
 
-    params maps each dimension the entry applies to onto its parameters.
+    params maps each dimension the entry applies to onto its parameters,
+    which construction checks (check).
     """
 
     id: str
@@ -429,9 +467,15 @@ class InequalitySpec:
         if self.kind == "assert" and self.constant is None:
             raise ValueError(f"assert entry {self.id} needs an explicit constant")
         for d in self.dims:
-            if not self.valid(d, self.params[d]):
-                raise ValueError(f"entry {self.id}: parameters for dim {d} "
-                                 "fall outside the validity window")
+            self.check(d)
+
+    def check(self, dim: int) -> None:
+        """Raise ValueError unless params[dim] lie in the window and balance the Sides."""
+        params = self.params[dim]
+        if not (self.valid(dim, params) and
+                (not isinstance(self.evaluate, Sides) or self.evaluate.balanced(dim, params))):
+            raise ValueError(f"entry {self.id}: parameters for dim {dim} "
+                             "fall outside the validity window")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -443,9 +487,6 @@ def registry() -> tuple[InequalitySpec, ...]:
     """All registered inequalities; ids are unique and stable."""
     simple_base = "Mix(0;Leb({r});Leb({p}))"
     strong_base = "Mix(0;Leb({r});Lor({p},{nu}))"
-    embed1 = Sides(((_besov_sum, "{s}", "{p}", "Lor({q},{p})"),), ((_deriv_norms, "{p}"),))
-    embed32 = Sides(((_besov_sum, "{alpha}", "{p}", "Mix(0;Leb({p});Lor({q},{p}))"),),
-                    ((_deriv_norms, "{p}"),))
     hardy_refined = Sides(((_besov_sum, "{alpha}", "1.0", "Mix(0;Leb(1.0);Lor({q},1.0))"),),
                           ((_h1_sum,),))
     obertype = Sides(((_shells, 2),), ((_grad, "1.0"),))
@@ -491,13 +532,13 @@ def registry() -> tuple[InequalitySpec, ...]:
             "embed1", "report",
             "directional Lorentz-norm smoothness integrals vs. derivative norms",
             {1: {"p": 2.0, "q": 4.0, "s": 0.75},
-                     2: {"p": 1.0, "q": 1.5, "s": 1.0 / 3.0}}, embed1,
+                     2: {"p": 1.0, "q": 1.5, "s": 1.0 / 3.0}}, _EMBED1,
             valid=_valid_embed1, dilation_sweep=True),
         InequalitySpec(
             "embed32", "report",
             "directional mixed-norm smoothness integrals vs. derivative norms",
             {2: {"p": 1.5, "q": 2.5, "alpha": 1.0 - 1.0 / 1.5 + 1.0 / 2.5},
-                     3: {"p": 1.0, "q": 1.5, "alpha": 1.0 / 3.0}}, embed32,
+                     3: {"p": 1.0, "q": 1.5, "alpha": 1.0 / 3.0}}, _EMBED32,
             valid=_valid_embed32, dilation_sweep=True),
         InequalitySpec(
             "embed321", "report",
@@ -614,12 +655,12 @@ def registry() -> tuple[InequalitySpec, ...]:
             "plain-norm smoothness integrals vs. their mixed-norm refinement",
             {2: {"p": 1.5, "q": 2.0, "s": 1.0 - 2.0 * (1 / 1.5 - 0.5),
                        "alpha": 1.0 - (1 / 1.5 - 0.5)}},
-            Sides(embed1.lhs, embed32.lhs),
+            Sides(_EMBED1.lhs, _EMBED32.lhs),
             valid=_valid_compare),
         InequalitySpec(
             "embed32_n2_p1", "probe",
             "mixed-norm smoothness integrals at the open parameter corner",
-            {2: {"p": 1.0, "q": 1.5, "alpha": 2.0 / 3.0}}, embed32,
+            {2: {"p": 1.0, "q": 1.5, "alpha": 2.0 / 3.0}}, _EMBED32,
             valid=_valid_probe_embed32),
         InequalitySpec(
             "obertype_n2", "probe",
@@ -768,16 +809,16 @@ def run(specs, dim: int, families, coarse_grid: GridSpec,
         jobs: int = 1) -> list[InequalityReport]:
     """Evaluate registry entries over one corpus at coarse_grid and its refinement.
 
-    specs is a sequence of registry entries that all apply to dim; one
-    report per entry is returned, in the same order.  The loop is
-    member-major: each member is sampled once on the coarse grid and every
-    entry runs on that sample, then once on the fine grid.  With jobs > 1
-    the members are spread over one process pool.
+    specs is a sequence of registry entries that all apply to dim, each
+    checked again (InequalitySpec.check); one report per entry is returned,
+    in the same order.  The loop is member-major: each member is sampled
+    once on the coarse grid and every entry runs on that sample, then once
+    on the fine grid.  With jobs > 1 the members are spread over one process pool.
 
     Entries with dilation_sweep also run on two rescaled copies of the fine
     sample, for x -> lam x with lam = 1/2 and 2: the same samples on the box
     scaled by 1/lam, with derivatives lam * d_k f (gridfn.dilate_member).
-    The sweep is a discrete homogeneity check of the registry's exponents:
+    The sweep measures the declared degrees (InequalitySpec.check) numerically:
     the log2 slopes of both sides must match.  On these bit-identical
     samples it measures no discretization error; the coarse/fine drift does.
     """
@@ -785,8 +826,7 @@ def run(specs, dim: int, families, coarse_grid: GridSpec,
     for spec in specs:
         if dim not in spec.dims:
             raise ValueError(f"entry {spec.id} does not apply to dim {dim}")
-        if not spec.valid(dim, spec.params[dim]):
-            raise ValueError(f"entry {spec.id}: invalid parameters for dim {dim}")
+        spec.check(dim)
     if not specs:
         return []
     tasks = [(specs, dim, i, fam, coarse_grid) for i, fam in enumerate(families)]

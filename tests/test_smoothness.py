@@ -253,6 +253,21 @@ def test_difference_norms_reject_bad_input(corpus1, corpus2):
             difference_norms(f, 0, ms, Lebesgue(1.0))
 
 
+@pytest.mark.parametrize("dim,base", [(1, "Leb(1)"), (2, "Lor(1.5,1)")])
+def test_difference_norms_cap_huge_multiples_at_the_box(dim, base):
+    # every |m| >= N has the shift-N norm, the norm of f; a uint64 past 2^63
+    # and the int64 minimum must not wrap into the box when cast to int64
+    grid = GridSpec.box(dim, 4.0, 16)
+    f = GridFunction(grid, np.exp(-math.pi * sum(x ** 2 for x in grid.meshgrid())))
+    base = parse_norm(base)
+    want = difference_norms(f, 0, np.array([16]), base)
+    assert want[0] == pytest.approx(norm_of_values(f.values, grid, base), rel=1e-12)
+    for ms in (np.array([2 ** 64 - 1], dtype=np.uint64), np.array([2 ** 63], dtype=np.uint64),
+               np.array([-2 ** 63], dtype=np.int64), np.array([-128, 127], dtype=np.int8)):
+        got = difference_norms(f, 0, ms, base)
+        assert np.array_equal(got, np.repeat(want, ms.size)), ms
+
+
 def test_modulus_cost_is_capped_at_the_box(corpus1, monkeypatch):
     f = corpus1[2].f
     n, step = f.spec.points[0], f.spec.spacing[0]

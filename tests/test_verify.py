@@ -66,6 +66,103 @@ def test_run_rejects_wrong_dim_and_bad_params(corpus1, grid1):
     entry = registry_map()["embed32"]
     with pytest.raises(ValueError):
         run([entry], 1, corpus1, grid1)
+    # params edited after construction: run checks them again, as construction does
+    entry = dataclasses.replace(registry_map()["embed1"],
+                                params={1: {"p": 2.0, "q": 4.0, "s": 0.75}})
+    entry.params[1]["s"] = 0.5
+    with pytest.raises(ValueError, match="^entry embed1: parameters for dim 1 fall outside "
+                                         "the validity window$"):
+        run([entry], 1, corpus1, grid1)
+
+
+# each (entry, dim, changed params) lies outside the window or unbalances the sides
+REJECTED = [
+    ("sob1", 2, {"pstar": 3.0}),
+    ("embed1", 2, {"s": 0.5}),
+    ("embed1", 1, {"s": 0.5}),
+    ("embed32", 3, {"alpha": 0.5}),
+    ("embed321", 2, {"alpha": 0.4}),
+    ("hardy1", 2, {"alpha": 0.5}),
+    ("diff", 1, {"beta": 0.3}),
+    # s - alpha is unchanged, so only each embedding's own balance sees it
+    ("embed1_vs_embed32", 2, {"s": 1.0 - 2.0 * (1 / 1.5 - 0.5) + 0.1,
+                              "alpha": 1.0 - (1 / 1.5 - 0.5) + 0.1}),
+    # the degree check alone rejects these
+    ("simple2", 2, {"beta": 0.3}),
+    ("strong10", 2, {"beta": 0.3}),
+    ("embed32_n2_p1", 2, {"alpha": 0.5}),
+]
+
+
+@pytest.mark.parametrize("entry_id,dim,changes", REJECTED,
+                         ids=[f"{i}-{d}-{'+'.join(c)}" for i, d, c in REJECTED])
+def test_exponents_off_the_scaling_rule_are_rejected(entry_id, dim, changes):
+    entry = registry_map()[entry_id]
+    params = {**entry.params[dim], **changes}
+    with pytest.raises(ValueError, match=f"entry {entry_id}: parameters for dim {dim} "
+                                         "fall outside the validity window"):
+        dataclasses.replace(entry, params={dim: params})
+
+
+def _term_degrees(side, dim, params):
+    return [verify._DEGREES[functional](dim, *verify._resolve(args, params))
+            for functional, *args in side]
+
+
+def test_degree_check_covers_every_sides_pair_of_one_degree_per_side():
+    checked, mixed, own = [], set(), set()
+    for entry in registry():
+        for dim in entry.dims:
+            if not isinstance(entry.evaluate, verify.Sides):
+                own.add((entry.id, dim))
+                continue
+            lhs, rhs = (_term_degrees(side, dim, entry.params[dim])
+                        for side in (entry.evaluate.lhs, entry.evaluate.rhs))
+            if max(lhs) - min(lhs) > 1e-12 or max(rhs) - min(rhs) > 1e-12:
+                mixed.add(entry.id)
+            else:
+                checked.append((entry.id, dim))
+                assert lhs[0] == pytest.approx(rhs[0], abs=1e-12)
+    assert len(checked) == 27 and len(own) == 7
+    assert mixed == {"diff", "simple1", "strong1"}
+    assert {("simple2", 2), ("strong10", 2), ("sup111", 3), ("obertype_n2", 2)} <= set(checked)
+
+
+# a term of every functional; IterLor is a 2-D norm
+DEGREE_CASES = [
+    (verify._norm, "Leb(2)"), (verify._norm, "Lor(1.5,1)"),
+    (verify._norm, "Mix(0;Leb(1);Lor(2,1))"), (verify._norm, "IterLor(2,1)"),
+    (verify._grad, "1.0"), (verify._grad, "2.0"), (verify._deriv_norms, "1.5"),
+    (verify._h1, 0), (verify._h1_sum,),
+    (verify._besov, "0.5", "2.0", "Leb(2)", True, True),
+    (verify._besov, "0.75", "2.0", "Mix(0;Leb(1);Lor(2,1.5))"),
+    (verify._besov_sum, "0.5", "1.0", "Mix(0;Leb(1);Lor(2,1))"),
+    (verify._weighted, 1), (verify._weighted, 0, 0), (verify._weighted_sum, 0),
+    (verify._shells, 2), (verify._shells, 1, 0),
+    (verify._slab_sups,), (verify._cube_shells,),
+]
+
+
+def test_degree_cases_cover_every_functional():
+    assert {functional for functional, *_ in DEGREE_CASES} == set(verify._DEGREES)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_declared_degrees_match_the_dilation_slopes(dim):
+    # f -> f(lam .) for lam = 1/2 and 2 rescales the box, not the samples, so
+    # each functional's log2 slope is its degree up to rounding
+    families = default_families(dim)[:6]
+    assert len({fam.family for fam in families}) == 6
+    for fam in families:
+        member = sample_member(fam, default_grid(dim))
+        copies = (gridfn.dilate_member(member, 0.5), member, gridfn.dilate_member(member, 2.0))
+        for functional, *args in DEGREE_CASES:
+            if dim == 3 and args == ["IterLor(2,1)"]:
+                continue
+            degree = verify._DEGREES[functional](dim, *args)
+            down, mid, up = (functional(copy, *args) for copy in copies)
+            for slope in (math.log2(mid / down), math.log2(up / mid)):
+                assert slope == pytest.approx(degree, abs=1e-12), (fam.family, functional, args)
 
 
 def test_empirical_ratio_conventions():
@@ -305,9 +402,12 @@ def test_dilation_sweep_reports_matched_exponents():
     assert rep.dilation["factors"] == [0.5, 1.0, 2.0]
     assert rep.dilation["matched"] is True
     assert rep.dilation["max_exponent_gap"] <= 0.05
+    # both sides of embed1 in 1-D have the declared degree 1 - 1/p = 1/2
     for row in rep.rows:
         assert len(row["lhs_scaling_exponents"]) == 2
         assert set(row["dilation_values"]) == {"0.5", "2.0"}
+        for e in row["lhs_scaling_exponents"] + row["rhs_scaling_exponents"]:
+            assert e == pytest.approx(0.5, abs=1e-12)
 
 
 def test_run_all_subset_and_unknown_ids(grid1):
