@@ -26,21 +26,22 @@ weighted functionals of the spectrum.  The inverse (_inverse), the cone's
 ball maximum (_ball_maximum) and the sphere integral at given radii
 (_shell_values of _sphere_rows) are private kernels of those functionals.
 
-Against the same rules on the full spectrum, the slab-sup integral and the
-mean-zero warning are equal bit for bit: a max is exact, and each
-rearrangement reads the full grid's multiset of sups.  Everything else moves
-in the last bits, because its products and sums run in another order: the
-transform and its inverses against the complex FFT (a few eps of max|.|),
-the Riesz transform (its symbol is 0 on the Nyquist plane of its axis),
-weighted_fourier_integral, cube_shell_sum and cone_derivative_check, and the
-sphere and dyadic-shell functionals, which read one multilinear operator per
-dual grid and merge the corners that land on one half-spectrum cell (below
-1e-13 relative).  The sampling rules are fixed module constants: 16 radii
-per dyadic shell, 64 trapezoid points on the circle, 24 Gauss-Legendre x 48
-azimuth points on the sphere, and 64 thresholds for the slab-sup integral.
-Tables shared between calls are read-only and bounded by the size of their
-cache: the radial weights (287 KB on a 64^3 grid) and the shell operators.
-No spectrum-sized array is kept from one call to the next.
+Against the same rules on the full spectrum, the mean-zero warning is equal
+bit for bit, and so are the slab sups: a max is exact.  Everything else
+moves in the last bits, because its products and sums run in another order:
+the transform and its inverses against the complex FFT (a few eps of
+max|.|), the Riesz transform (its symbol is 0 on the Nyquist plane of its
+axis), the slab-sup integral (top-k sums against the merged runs of a
+rearrangement), weighted_fourier_integral, cube_shell_sum and
+cone_derivative_check, and the sphere and dyadic-shell functionals, which
+read one multilinear operator per dual grid and merge the corners that land
+on one half-spectrum cell (below 1e-13 relative).  The sampling rules are
+fixed module constants: 16 radii per dyadic shell, 64 trapezoid points on
+the circle, 24 Gauss-Legendre x 48 azimuth points on the sphere, and 64
+thresholds for the slab-sup integral.  Tables shared between calls are
+read-only and bounded by the size of their cache: the half-spectrum nodes,
+the radial weights (287 KB on a 64^3 grid), the shell operators, and the
+signed 1/|xi| of the Riesz transforms (one grid's, 1.1 MB on a 64^3 grid).
 """
 
 from __future__ import annotations
@@ -54,12 +55,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
-from scipy.ndimage import maximum_filter1d
 
 from .gridfn import GridFunction, GridSpec, _check_axis, _owned
 from .norms import lp_norm
 from .quadrature import segment_integral
-from .rearrange import decreasing_rearrangement, double_star
 
 __all__ = [
     "SpectralFunction",
@@ -98,14 +97,18 @@ def _half_shape(shape) -> tuple:
     return tuple(shape[:-1]) + (shape[-1] // 2 + 1,)
 
 
-def _half_nodes(spec: GridSpec) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def _half_nodes(spec: GridSpec) -> tuple[np.ndarray, ...]:
     """The nodes of each axis of the (dual) grid spec in FFT order; the last axis keeps k = 0..N/2.
 
     Index N/2 holds the Nyquist node -N/2 h, which is its own reflection.
+    Shared between calls, so the arrays are read-only.
     """
     nodes = [np.fft.ifftshift(spec.axis_nodes(a)) for a in range(spec.dim)]
     nodes[-1] = nodes[-1][:spec.points[-1] // 2 + 1]
-    return nodes
+    for x in nodes:
+        x.setflags(write=False)
+    return tuple(nodes)
 
 
 def _half_mesh(spec: GridSpec) -> list[np.ndarray]:
@@ -189,14 +192,19 @@ def transform(f: GridFunction) -> SpectralFunction:
     return F
 
 
-def _inverse(half: np.ndarray, spec: GridSpec, c=1.0) -> np.ndarray:
-    """The real samples on spec whose half spectrum is c * half; overwrites half.
+def _irfftn(half: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """irfftn of a half spectrum that carries the sign of _alternate, over the cell volume; overwrites half."""
+    vals = scipy.fft.irfftn(half, s=spec.shape, overwrite_x=True)
+    return np.divide(vals, spec.cell_volume, out=vals)
+
+
+def _inverse(half: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The real samples on spec whose half spectrum is half; overwrites half.
 
     The sign of _alternate undoes the centering, irfftn inverts, and one
     pass divides by the cell volume.
     """
-    vals = scipy.fft.irfftn(_alternate(half, c), s=spec.shape, overwrite_x=True)
-    return np.divide(vals, spec.cell_volume, out=vals)
+    return _irfftn(_alternate(half, 1.0), spec)
 
 
 def frequency_radii(spec: GridSpec) -> np.ndarray:
@@ -216,39 +224,58 @@ def _warn_if_not_mean_zero(F: SpectralFunction, what: str):
                       "grid-dependent tails", RuntimeWarning, stacklevel=3)
 
 
-def _riesz_symbol(spec: GridSpec, j) -> np.ndarray:
-    """q = -xi_j / |xi| on the half spectrum of the (dual) grid spec; the Riesz symbol is i q.
+@functools.lru_cache(maxsize=1)
+def _signed_inverse_radii(spec: GridSpec) -> np.ndarray:
+    """(-1)^(k_0 + ... + k_(n-1)) / |xi| on the half spectrum of the (dual) grid spec, 1 at the origin.
 
-    q is (-xi_j) * (1 / |xi|): the bits of the imaginary part of the complex
-    quotient -1j * xi_j / |xi|, since numpy divides by complex(r, 0) by
-    multiplying by 1/r.  The symbol has no limit at the origin; 0 there
-    keeps mean-zero inputs exact.  q is also 0 on the Nyquist plane
-    k_j = N/2 of axis j: its node -N/2 h is its own reflection, so a
-    Hermitian spectrum times i q is not Hermitian there, and the real part
-    that a full-spectrum route keeps is 0.
+    The sign of _alternate, folded into 1 / |xi|.  The n Riesz transforms
+    of one h1_norm share it; the cache holds one grid's read-only table
+    (1.1 MB on a 64^3 grid).
     """
-    origin = (0,) * spec.dim
     r = frequency_radii(spec)
-    r[origin] = 1.0
-    q = np.divide(1.0, r, out=r)
-    np.multiply(-_half_mesh(spec)[j], q, out=q)
-    q[origin] = 0.0
-    q[(slice(None),) * j + (spec.points[j] // 2,)] = 0.0
-    return q
+    r[(0,) * spec.dim] = 1.0
+    table = _alternate(np.divide(1.0, r, out=r), 1.0)
+    table.setflags(write=False)
+    return table
+
+
+def _riesz_multiplier(spec: GridSpec, j) -> np.ndarray:
+    """q (-1)^(k_0 + ... + k_(n-1)) on the half spectrum of the (dual) grid spec, q = -xi_j / |xi|.
+
+    The Riesz symbol is i q.  q is (-xi_j) * (1 / |xi|): the bits of the
+    imaginary part of the complex quotient -1j * xi_j / |xi|, since numpy
+    divides by complex(r, 0) by multiplying by 1/r, and the exact sign of
+    _alternate does not change them.  The symbol has no limit at the
+    origin; 0 there keeps mean-zero inputs exact.  q is also 0 on the
+    Nyquist plane k_j = N/2 of axis j: its node -N/2 h is its own
+    reflection, so a Hermitian spectrum times i q is not Hermitian there,
+    and the real part that a full-spectrum route keeps is 0.
+    """
+    xj = _half_nodes(spec)[j].reshape((-1,) + (1,) * (spec.dim - 1 - j))
+    m = _signed_inverse_radii(spec) * -xj
+    m[(0,) * spec.dim] = 0.0
+    m[(slice(None),) * j + (spec.points[j] // 2,)] = 0.0
+    return m
 
 
 def riesz(f: GridFunction, j) -> GridFunction:
     """Riesz transform along axis j (the Hilbert transform when dim is 1).
 
-    F = a + i b is multiplied by the real q of _riesz_symbol, and the factor
-    1j rides on the sign of _alternate before irfftn: together they give
-    -q b + i q a, the complex product with the symbol i q up to the sign of
-    zeros.
+    F = a + i b times the symbol i q is -q b + i q a.  Both parts are
+    written in one pass, already times the sign of _alternate
+    (_riesz_multiplier), and irfftn inverts them.  The values equal the
+    complex product with i q, centered by _alternate, bit for bit up to the
+    sign of zeros.
     """
     _check_axis(j, f.spec.dim)
     F = transform(f)
     _warn_if_not_mean_zero(F, "riesz")
-    return _owned(GridFunction, f.spec, _inverse(F.values * _riesz_symbol(F.spec, j), f.spec, 1j))
+    m = _riesz_multiplier(F.spec, j)
+    half = np.empty_like(F.values)
+    np.negative(np.multiply(F.values.imag, m, out=half.real), out=half.real)
+    np.multiply(F.values.real, m, out=half.imag)
+    del m  # irfftn allocates its output: free the multiplier first
+    return _owned(GridFunction, f.spec, _irfftn(half, f.spec))
 
 
 def h1_norm(f: GridFunction) -> float:
@@ -277,7 +304,11 @@ def _ball_maximum(values: np.ndarray, spec: GridSpec, radius: float) -> np.ndarr
     padded with -inf along those axes, by at most N - 1 cells (a larger
     offset leaves the box), and filters it along the last axis; "nearest"
     padding there never wins, since it repeats the window's in-box edge.
+    scipy.ndimage is imported here, so the runs that never reach the cone
+    check do not import it.
     """
+    from scipy.ndimage import maximum_filter1d
+
     if radius >= math.hypot(*(2.0 * L for L in spec.half_extents)):
         return np.full_like(values, values.max())
     head = spec.spacing[:-1]
@@ -344,6 +375,29 @@ def _check_slab_axis(spec: GridSpec, axis) -> None:
     _check_axis(axis, spec.dim)
 
 
+def _running_means(values: np.ndarray, cell: float, rows: np.ndarray, measures: np.ndarray) -> np.ndarray:
+    """(1/s) * integral over (0, s] of the nonincreasing rearrangement of values[row], per (row, s).
+
+    Each row of values holds values >= 0, one per cell of measure cell.  The
+    rearrangement takes the v_1 >= v_2 >= ... on consecutive cells, so with
+    k = floor(s / cell) the integral is cell * (v_1 + ... + v_k) plus
+    v_(k+1) * (s - k cell), and v_(k+1) = 0 once k covers the row.  One
+    partition (in place, so values is reordered) picks the largest k + 1
+    values of every row for the largest k, and one sort and one cumsum of
+    those give every s.
+    """
+    size = values.shape[1]
+    k = np.minimum(measures // cell, size).astype(np.int64)
+    top = min(int(k.max()) + 1, size)
+    values.partition(size - top, axis=1)
+    desc = np.sort(values[:, size - top:], axis=1)[:, ::-1]
+    sums = np.zeros((len(values), top + 1))
+    np.cumsum(desc, axis=1, out=sums[:, 1:])
+    nexts = np.zeros((len(values), top + 1))
+    nexts[:, :top] = desc
+    return (cell * sums[rows, k] + nexts[rows, k] * (measures - k * cell)) / measures
+
+
 def _slab_double_stars(F: SpectralFunction, axis, ts, measures) -> np.ndarray:
     """double_star of the rearranged slab sup of |F| over {|xi_axis| >= t} at each measure, per t.
 
@@ -360,10 +414,12 @@ def _slab_double_stars(F: SpectralFunction, axis, ts, measures) -> np.ndarray:
 
     The slabs are nested: sorted by |xi_axis|, descending, each is a prefix
     of the planes.  One running max, extended a plane at a time, gives
-    every slab sup; each distinct plane count is rearranged once and
-    evaluated at the measures of all thresholds that select it.  The max is
-    exact, so every value equals the per-threshold route on the full
-    spectrum bit for bit.  An empty slab warns and gives 0.
+    every slab sup, and the running averages of all distinct plane counts
+    are top-k sums (_running_means) at the measures of the thresholds that
+    select them.  The max is exact; the sums run in another order than the
+    merged runs of decreasing_rearrangement and double_star, so the values
+    move against that route in the last bits.  An empty slab warns and
+    gives 0.
     """
     spec = F.spec
     ts = np.asarray(ts, dtype=float)
@@ -375,26 +431,34 @@ def _slab_double_stars(F: SpectralFunction, axis, ts, measures) -> np.ndarray:
     for t in ts[counts == 0]:
         warnings.warn(f"threshold {t} exceeds the frequency extent; sup is empty",
                       RuntimeWarning, stacklevel=3)
-    av = np.abs(F.values)
+    selected = counts > 0
+    used, rows = np.unique(counts[selected], return_inverse=True)
     m = spec.points[-1] // 2
     last = axis == spec.dim - 1
-    planes = np.moveaxis(av, axis, 0)
+    planes = np.moveaxis(np.abs(F.values), axis, 0)
+    shape = planes.shape[1:]
+    running = np.zeros(shape)
     if last:
-        mirrors = np.moveaxis(_reflect(av, tuple(range(spec.dim - 1))), axis, 0)
-    reduced = spec.drop_axis(axis)
-    running = np.zeros(planes.shape[1:])
+        # the max over the interior planes, whose reflections enter too; it
+        # is reflected once per count, since a reflection commutes with max
+        inner = np.zeros(shape)
+        flat = np.empty((len(used), running.size))
+    else:
+        flat = np.empty((len(used), running.size + running[..., 1:m].size))
     done = 0
-    for c in np.unique(counts[counts > 0]):
+    for i, c in enumerate(used):
         for k in order[done:c]:
             np.maximum(running, planes[k], out=running)
             if last and 0 < k < m:
-                np.maximum(running, mirrors[k], out=running)
+                np.maximum(inner, planes[k], out=inner)
         done = c
-        sups = running if last else np.concatenate((running.ravel(), running[..., 1:m].ravel()))
-        prof = decreasing_rearrangement(GridFunction(reduced, sups.reshape(reduced.shape)))
-        if prof.values.size:
-            sel = counts == c
-            out[sel] = double_star(prof, measures[sel])
+        if last:
+            np.maximum(running, _reflect(inner, tuple(range(inner.ndim))), out=flat[i].reshape(shape))
+        else:
+            flat[i, :running.size] = running.ravel()
+            flat[i, running.size:] = running[..., 1:m].ravel()
+    out[selected] = _running_means(flat, spec.drop_axis(axis).cell_volume, rows,
+                                   measures[selected])
     return out
 
 
@@ -409,10 +473,11 @@ def sup_integral_functional(F: SpectralFunction, axis) -> float:
 
     The slabs of the _SLAB_LEVELS thresholds are nested, so the sups come
     from one running max over the planes in order of decreasing |xi_axis|,
-    and each distinct set of planes is rearranged once (thresholds below one
-    frequency cell all select the same planes).  The values equal the
-    per-threshold route on the full spectrum (slab sup,
-    decreasing_rearrangement, double_star) bit for bit.
+    and each distinct set of planes is averaged once, as a top-k sum
+    (thresholds below one frequency cell all select the same planes).  The
+    values equal the per-threshold route on the full spectrum (slab sup,
+    decreasing_rearrangement, double_star) up to rounding: the sums run in
+    another order.
     """
     _check_spectrum(F)
     _check_slab_axis(F.spec, axis)

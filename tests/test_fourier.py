@@ -190,8 +190,31 @@ def _half_riesz(full, j, spec):
     q = _division_riesz_multiplier(full.spec, j).imag
     q[(slice(None),) * j + (0,)] = 0.0
     half = _half(full.values * q)
-    signs = (-1.0) ** sum(np.meshgrid(*map(np.arange, half.shape), indexing="ij", sparse=True))
-    return scipy.fft.irfftn(half * (1j * signs), s=spec.shape) / spec.cell_volume
+    return scipy.fft.irfftn(half * (1j * _centering_signs(half.shape)), s=spec.shape) / spec.cell_volume
+
+
+def _centering_signs(shape):
+    """(-1)^(k_0 + ... + k_(n-1)) over the indices k of an array of the given shape."""
+    return (-1.0) ** sum(np.meshgrid(*map(np.arange, shape), indexing="ij", sparse=True))
+
+
+def _riesz_symbol(spec, j):
+    """The real Riesz symbol q = (-xi_j) * (1 / |xi|) on the half spectrum, 0 at the origin and on the Nyquist plane of axis j."""
+    origin = (0,) * spec.dim
+    r = frequency_radii(spec)
+    r[origin] = 1.0
+    q = np.divide(1.0, r, out=r)
+    np.multiply(-fourier._half_mesh(spec)[j], q, out=q)
+    q[origin] = 0.0
+    q[(slice(None),) * j + (spec.points[j] // 2,)] = 0.0
+    return q
+
+
+def _two_pass_riesz(f, j):
+    """The Riesz transform as F q, then _alternate(., 1j), irfftn and the division by the cell volume."""
+    F = transform(f)
+    half = fourier._alternate(F.values * _riesz_symbol(F.spec, j), 1j)
+    return scipy.fft.irfftn(half, s=f.spec.shape) / f.spec.cell_volume
 
 
 def _where_weighted_integral(F, gamma):
@@ -292,20 +315,39 @@ def test_riesz_and_h1_norm_match_uncached_oracle(corpus2, corpus3):
                 assert h1_norm(g) == first  # now from the cache
 
 
-@pytest.mark.parametrize("half_extents,points", [
+# anisotropic boxes, unequal axis lengths, N/2 odd on some axes
+UNEVEN_GRIDS = [
     ((8.0,), (256,)),
     ((3.0,), (10,)),
     ((3.0, 2.0), (24, 16)),
     ((2.0, 1.5, 3.0), (16, 8, 12)),
-])
-def test_uneven_grids_match_oracles(half_extents, points):
-    # anisotropic boxes, unequal axis lengths, N/2 odd on some axes
+]
+
+
+def _uneven_sample(half_extents, points):
     spec = GridSpec(len(points), half_extents, points)
-    f = GridFunction(spec, np.random.default_rng(len(points)).standard_normal(spec.shape))
+    return GridFunction(spec, np.random.default_rng(len(points)).standard_normal(spec.shape))
+
+
+@pytest.mark.parametrize("half_extents,points", UNEVEN_GRIDS)
+def test_uneven_grids_match_oracles(half_extents, points):
+    f = _uneven_sample(half_extents, points)
     _check_transform(f, transform(f))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _check_riesz_and_h1(f)
+
+
+def test_riesz_equals_the_two_pass_route_bit_for_bit(corpus1, corpus2, corpus3):
+    # the one-pass multiplier against F q, _alternate(., 1j), irfftn and the
+    # division, on default members of every dimension and on the uneven grids
+    fs = list(_oracle_inputs(corpus1, corpus2, corpus3))
+    fs += [_uneven_sample(*grid) for grid in UNEVEN_GRIDS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for f in fs:
+            for j in range(f.spec.dim):
+                assert np.array_equal(riesz(f, j).values, _two_pass_riesz(f, j))
 
 
 def test_hilbert_transform_in_one_dimension():
@@ -442,13 +484,16 @@ def test_riesz_multiplier_matches_masked_where(half_extents, points):
     # N/2 odd or even; the dual of a 10-point axis with L = 3 used to have
     # its middle node at 1.1e-16 instead of 0
     spec = dual_grid(GridSpec(len(points), half_extents, points))
+    signs = _centering_signs(fourier._half_shape(spec.shape))
     for j in range(spec.dim):
-        new = fourier._riesz_symbol(spec, j)
+        new = fourier._riesz_multiplier(spec, j)
+        assert np.array_equal(new, _riesz_symbol(spec, j) * signs)
         for old in (_where_riesz_multiplier(spec, j), _division_riesz_multiplier(spec, j)):
             # the real symbol q is the imaginary part i q of the complex one,
-            # on the half spectrum and 0 on the Nyquist plane of axis j
+            # on the half spectrum and 0 on the Nyquist plane of axis j, here
+            # times the sign of _alternate
             assert not np.any(old.real)
-            want = _half(old.imag).copy()
+            want = _half(old.imag) * signs
             want[(slice(None),) * j + (spec.points[j] // 2,)] = 0.0
             assert new.dtype == np.float64 and new.shape == want.shape
             assert new.tobytes() == want.tobytes()
@@ -578,7 +623,8 @@ def test_sup_integral_functional_matches_naive_loop(corpus2, corpus3):
     for member in corpus2[:3] + corpus3[:2]:
         F = transform(member.f)
         for axis in range(F.spec.dim):
-            assert sup_integral_functional(F, axis) == _naive_sup_integral_functional(_full(F), axis)
+            assert sup_integral_functional(F, axis) == pytest.approx(
+                _naive_sup_integral_functional(_full(F), axis), rel=1e-12, abs=0.0)
 
 
 def test_slab_double_stars_repeated_thresholds():
@@ -603,6 +649,36 @@ def test_slab_double_stars_repeated_thresholds():
         assert sup_integral_functional(F, axis) == _naive_sup_integral_functional(full, axis)
 
 
+def test_running_means_match_the_rearrangement_at_the_edges():
+    # the top-k sums against decreasing_rearrangement and double_star: one
+    # measure at a time moves the partition to each k, all at once shares it
+    grid = GridSpec.box(1, 2.0, 8)
+    cell = grid.cell_volume  # 0.5
+    samples = [
+        [5.0, 2.0, 1.0, 2.0, 0.0, 2.0, 0.0, 0.0],  # ties, zeros past 4 cells
+        [0.0] * 8,                                   # an all-zero slab gives 0
+        [0.3, 7.0, 1.5, 0.25, 4.0, 4.0, 0.5, 2.0],   # positive on every cell
+    ]
+    measures = [
+        0.2, 0.49,       # below one cell: k = 0
+        0.5, 1.0, 1.5,   # exact multiples of the cell
+        0.75, 1.25,      # k inside the run of ties, at the partition boundary
+        2.2, 2.6,        # past the support of the first sample
+        4.0, 100.0,      # k covers the whole slab, and far past it
+    ]
+    # every sample is one row of a single call, as _slab_double_stars makes it
+    rows = np.repeat(np.arange(len(samples)), len(measures))
+    together = fourier._running_means(np.array(samples), cell, rows, np.tile(measures, len(samples)))
+    for i, vals in enumerate(samples):
+        want = double_star(decreasing_rearrangement(GridFunction(grid, np.array(vals))), measures)
+        for s, w, t in zip(measures, want, together[rows == i]):
+            (alone,) = fourier._running_means(np.array([vals]), cell, np.zeros(1, dtype=int),
+                                              np.array([s]))
+            assert alone == pytest.approx(w, rel=1e-12, abs=0.0)
+            assert t == alone
+    assert not together[rows == 1].any()
+
+
 def test_slab_double_stars_empty_slab_warns_like_slab_sup(corpus2):
     F = transform(corpus2[1].f)
     far = 100.0
@@ -615,7 +691,8 @@ def test_slab_double_stars_empty_slab_warns_like_slab_sup(corpus2):
     assert [w.category for w in nested] == [RuntimeWarning]
     assert str(nested[0].message) == str(direct[0].message)
     assert got[1] == 0.0
-    assert got[0] == _naive_slab_double_stars(_full(F), 0, [0.5], [1.0])[0]
+    assert got[0] == pytest.approx(_naive_slab_double_stars(_full(F), 0, [0.5], [1.0])[0],
+                                   rel=1e-12, abs=0.0)
 
 
 def test_slab_functionals_reject_bad_axis(corpus2):
@@ -891,7 +968,8 @@ def test_spectral_functionals_match_full_spectrum_oracles(half_extents, points, 
         if n == 1:
             continue
         for axis in range(n):
-            assert sup_integral_functional(F, axis) == _naive_sup_integral_functional(full, axis)
+            assert sup_integral_functional(F, axis) == pytest.approx(
+                _naive_sup_integral_functional(full, axis), rel=1e-12, abs=0.0)
         assert cube_shell_sum(F) == pytest.approx(_full_cube_shell_sum(full), rel=1e-12, abs=0.0)
         ks, sups = dyadic_shell_terms(F)
         naive_ks, naive_sups = _naive_dyadic_shell_terms(F)
