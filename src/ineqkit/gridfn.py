@@ -67,8 +67,8 @@ def _is_number(x) -> bool:
 
 
 def _check_axis(axis, dim: int) -> None:
-    """Reject an axis that is not an integer in [0, dim); numpy integers pass."""
-    if not isinstance(axis, (int, np.integer)) or not 0 <= axis < dim:
+    """Reject an axis that is not an integer in [0, dim); numpy integers pass, bools do not."""
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not 0 <= axis < dim:
         raise ValueError(f"axis {axis!r} out of range for dim {dim}")
 
 

@@ -124,7 +124,9 @@ def _parse(text: str):
     m = re.match(r"\s*" + _NUM + r"\s*;", rest)
     if not m:
         raise ValueError(f"Mix needs an axis before ';' at {rest!r}")
-    axis = int(float(m.group(1)))
+    axis = float(m.group(1))
+    if not axis.is_integer():
+        raise ValueError(f"Mix axis must be an integer, got {m.group(1)!r}")
     inner, rest = _parse(rest[m.end():])
     m = re.match(r"\s*;", rest)
     if not m:
@@ -133,7 +135,7 @@ def _parse(text: str):
     m = re.match(r"\s*\)", rest)
     if not m:
         raise ValueError(f"unclosed Mix at {rest!r}")
-    return Mixed(axis, inner, outer), rest[m.end():]
+    return Mixed(int(axis), inner, outer), rest[m.end():]
 
 
 def _numbers(text: str, count: int):
@@ -257,22 +259,18 @@ def _reduce(a: np.ndarray, spec: NormSpec):
     return _inner_part(a, spec.axis, spec.inner)
 
 
-def _finish(part, grid, spec: NormSpec, at=None):
+def _finish(part, grid, spec: NormSpec):
     """The norm on grid from its reduction _reduce(a, spec).
 
-    For a Mixed spec, at (when given) places the inner norms in a zero-filled
-    table of all lines along spec.axis: part then reduced a block of a whose
-    other lines are all zero, and the outer norm reads the whole table.  An
-    array of Lebesgue power sums gives an array of norms (_lebesgue_root).
+    part may reduce a block of a whose complement in a is all zero: the
+    inner norms of a Mixed spec then count the cells of the block only, and
+    the outer norm its lines only.  An array of Lebesgue power sums gives an
+    array of norms (_lebesgue_root).
     """
     if not isinstance(spec, Mixed):
         return _root(part, grid.cell_volume, spec)
     step = grid.spacing[spec.axis]
     inner = _inner_root(part, spec.axis, spec.inner, step)
-    if at is not None:
-        table = np.zeros(grid.shape[:spec.axis] + grid.shape[spec.axis + 1:])
-        table[at] = inner
-        inner = table
     return _root(_reduce(inner, spec.outer), grid.cell_volume / step, spec.outer)
 
 

@@ -18,31 +18,31 @@ moduli of smoothness, the Besov sums and the 1-d tail integrals all read
 from it.  Each distinct shift is reduced once and then finished, in the two
 steps of norms._reduce and norms._finish.  The reduction does not depend on
 the grid spacing: the power sum for Leb(p), the sorted positive values to
-the power r for Lor(p,r), the inner reduction of every line of the cropped
-block for a Mixed base, and the row power sums of the batched 1-d kernel.
-The finish applies the cell volume, the step, the roots and the Lorentz
-weights of the grid, with the float operations of norm_of_values.  Every
-shift past the box is the shift N, whose difference is -f, so the norm of f
-is one more reduced shift.  It allocates no array per shift: 1-d samples
-with a Lebesgue base are gathered and reduced in batches from one
-window view, and every other shift reuses one scratch array for its
-difference and absolute value, which is reduced in place.  Every norm
-equals that of a fresh zero-filled difference of the whole array bit for
-bit:
+the power r for Lor(p,r), the inner reduction of every line for a Mixed
+base, and the row power sums of the batched 1-d kernel.  The finish applies
+the cell volume, the step, the roots and the Lorentz weights of the grid,
+with the float operations of norm_of_values.  Every shift past the box is
+the shift N, whose difference is -f, so the norm of f is one more reduced
+shift.  It allocates no array per shift: 1-d samples with a Lebesgue base
+are gathered and reduced in batches from one window view, and every other
+shift reuses one scratch array for its difference and absolute value, which
+is reduced in place.
 
 - Samples are C-contiguous (GridFunction stores them so), and so is every
   crop and scratch array made from them.  The overlap is subtracted in one
   pass over the flattened array along any axis; the elements whose partner
   crossed into the next line lie in the tail, which is then filled with
   0 - f.
-- Lorentz and Mixed bases work on the support: f is cropped to the bounding
-  box of its nonzero samples along the axes where the difference vanishes
-  on whole lines (all but the shift axis, and for Mixed also its inner
-  axis).  A Lorentz norm drops zeros before it sorts; a Mixed base writes
-  the cropped inner norms into a zero-filled table of the full shape and
-  reduces that table, since the inner norm of a zero line is exactly 0.
-  Lebesgue bases are not cropped: their pairwise sums over the whole array
-  would group other elements.
+- Every base works on the support, by one rule: f is cropped to the
+  bounding box of its nonzero samples along every axis but the shift axis.
+  Outside that box f and the difference vanish on whole lines along the
+  shift axis, so the crop drops zeros only.  The norms equal those of a
+  fresh zero-filled difference of the whole array bit for bit wherever the
+  float operations do not depend on the zeros: every 1-d base, every
+  Lorentz base (it drops zeros before it sorts), and a Mixed base with a
+  Lebesgue inner and a Lorentz outer norm shifted along its inner axis.
+  Elsewhere the pairwise sums over fewer zeros group the other terms
+  differently, and the norms agree to rounding.
 
 The dilation sweep of verify evaluates the same samples on three grids that
 differ only in their spacing (gridfn.dilate_member).  There the fine sample
@@ -76,8 +76,8 @@ from typing import Optional
 import numpy as np
 
 from .gridfn import GridFunction, _check_axis
-from .norms import (Lebesgue, Lorentz, Mixed, NormSpec, _check_values_spec, _finish,
-                    _power_sum, _reduce, norm_of_values)
+from .norms import (Lebesgue, NormSpec, _check_values_spec, _finish, _power_sum, _reduce,
+                    norm_of_values)
 from .quadrature import log_midpoint_nodes
 from .rearrange import decreasing_rearrangement, double_star
 
@@ -184,55 +184,32 @@ def _lebesgue_rows(values: np.ndarray, ms, p: float) -> np.ndarray:
     return out
 
 
-def _crop_axes(base: NormSpec, axis, dim: int) -> list[int]:
-    """Axes along which base ignores lines on which the difference vanishes.
-
-    A Lorentz norm drops zero cells before it sorts, and a mixed norm's
-    inner norm of an all-zero line is exactly 0.  The shift axis is never
-    cropped, since shifting moves the support along it, nor is a mixed
-    norm's inner axis, whose sums would run over other elements.  A
-    Lebesgue norm sums the whole array pairwise, so no crop keeps its bits.
-    """
-    if isinstance(base, Lorentz):
-        keep = {axis}
-    elif isinstance(base, Mixed):
-        keep = {axis, base.axis}
-    else:
-        return []
-    return [d for d in range(dim) if d not in keep]
-
-
-def _support_box(values: np.ndarray, axes) -> tuple:
-    """Index of the bounding box of the nonzero samples along axes, whole elsewhere."""
+def _support_box(values: np.ndarray, axis) -> tuple:
+    """Index of the bounding box of the nonzero samples along every axis but axis."""
+    nonzero = values != 0
     box = [slice(None)] * values.ndim
-    for d in axes:
-        others = tuple(j for j in range(values.ndim) if j != d)
-        hits = np.flatnonzero(np.any(values != 0, axis=others))
-        box[d] = slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
+    for d in range(values.ndim):
+        if d != axis:
+            others = tuple(j for j in range(values.ndim) if j != d)
+            hits = np.flatnonzero(np.any(nonzero, axis=others))
+            box[d] = slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
     return tuple(box)
 
 
 def _reductions(vals: np.ndarray, axis, shifts, base: NormSpec) -> list:
-    """(reduction, placement) of the difference norm at each shift 0 < |m| <= N.
+    """norms._reduce of |f(. + m h) - f| on the support box, at each shift 0 < |m| <= N.
 
-    The reduction is norms._reduce of |f(. + m h) - f|; the placement is the
-    crop's index in a Mixed base's table of inner norms, None otherwise.
     Shift N stands for every shift past the box, whose difference is -f.
     """
     if vals.ndim == 1 and isinstance(base, Lebesgue):
-        return [(s, None) for s in _lebesgue_rows(vals, shifts, base.p).tolist()]
-    box = _support_box(vals, _crop_axes(base, axis, vals.ndim))
-    sub = vals[box]
+        return _lebesgue_rows(vals, shifts, base.p).tolist()
+    sub = vals[_support_box(vals, axis)]
     if sub.shape != vals.shape:
-        # C order, as vals has, so the inner sums run as on the whole array
+        # C order, as _difference_values needs
         sub = sub.copy()
-    at = box[:base.axis] + box[base.axis + 1:] if isinstance(base, Mixed) else None
     buf = np.empty_like(sub)
-    out = []
-    for m in shifts:
-        np.abs(_difference_values(sub, axis, int(m), out=buf), out=buf)
-        out.append((_reduce(buf, base), at))
-    return out
+    return [_reduce(np.abs(_difference_values(sub, axis, int(m), out=buf), out=buf), base)
+            for m in shifts]
 
 
 def _share_reductions(f: GridFunction, source: Optional[GridFunction]) -> None:
@@ -265,17 +242,15 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     1-d samples and a Lebesgue base they are reduced in batches.
 
     Otherwise the call crops f once to the bounding box of its nonzero
-    samples along every axis but the shift axis for a Lorentz base, and
-    along every axis but the shift axis and base.axis for a Mixed base; a
-    Lebesgue base is not cropped.  Outside that box f, and with it the
-    difference, vanishes on every line along the shift axis.  A Lorentz norm
-    drops those zeros before it sorts.  A Mixed base writes the inner norms
-    of the block into a zero-filled table of the full shape and reduces that
-    table, so the outer sums run in the same order.  The block is C-ordered,
-    as f.values is, so the inner sums do too.  The call allocates one
-    scratch array of the block's shape, and each norm equals that of a
-    fresh difference of the whole array bit for bit.  The crop depends only on the
-    data: a function with no zero sample runs on the whole grid.
+    samples along every axis but the shift axis, whatever the base; outside
+    that box f, and with it the difference, vanishes on every line along
+    the shift axis.  The block is C-ordered, as f.values is, and the call
+    allocates one scratch array of its shape.  A Mixed base reduces the
+    lines of the block and its outer norm reads only their inner norms.  The
+    crop depends only on the data: a function with no zero sample runs on
+    the whole grid.  The module docstring says which norms equal those of a
+    fresh difference of the whole array bit for bit; the others agree to
+    rounding.
 
     Each distinct shift is reduced once (norms._reduce) and finished on the
     grid of f (norms._finish).  When f carries a reduction memo
@@ -299,9 +274,9 @@ def difference_norms(f: GridFunction, axis, multiples, base: NormSpec) -> np.nda
     out = np.zeros(shifts.size)
     if isinstance(base, Lebesgue):
         # scalar power sums: one finish for all of them
-        out[moved] = _finish(np.array([part for part, _ in parts]), grid, base)
+        out[moved] = _finish(np.array(parts), grid, base)
     else:
-        out[moved] = [_finish(part, grid, base, at) for part, at in parts]
+        out[moved] = [_finish(part, grid, base) for part in parts]
     return out[where]
 
 

@@ -798,9 +798,12 @@ def _map_tasks(tasks, jobs):
 
 
 def _drift(coarse: float, fine: float) -> float:
+    """|fine / coarse - 1|; inf when either is not finite, even when both are inf."""
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        return math.inf
     if coarse == fine:
         return 0.0
-    if coarse == 0 or not (math.isfinite(coarse) and math.isfinite(fine)):
+    if coarse == 0:
         return math.inf
     return abs(fine / coarse - 1.0)
 

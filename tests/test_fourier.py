@@ -697,7 +697,8 @@ def test_slab_double_stars_empty_slab_warns_like_slab_sup(corpus2):
 
 def test_slab_functionals_reject_bad_axis(corpus2):
     F = transform(corpus2[1].f)
-    for axis in (-1, 2, 1.0):
+    # True would index axis 1
+    for axis in (-1, 2, 1.0, True):
         with pytest.raises(ValueError, match="axis"):
             riesz(corpus2[1].f, axis)
         with pytest.raises(ValueError, match="axis"):

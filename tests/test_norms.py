@@ -35,6 +35,8 @@ def test_parse_format_roundtrip(text, spec):
 @pytest.mark.parametrize("text", [
     "", "Leb", "Leb()", "Leb(0.5)", "Lor(2)", "Lor(2,0)", "Banana(2)",
     "Mix(0;Leb(1))", "Mix(0;Mix(0;Leb(1);Leb(1));Leb(1))", "Leb(2) trailing",
+    # a fractional axis is not truncated to an integer one
+    "Mix(1.5;Leb(1);Leb(2))", "Mix(0.9;Leb(1);Leb(2))",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):

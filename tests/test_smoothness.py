@@ -7,8 +7,8 @@ import pytest
 
 from ineqkit import smoothness
 from ineqkit.gridfn import FamilySpec, GridFunction, GridSpec, sample_member
-from ineqkit.norms import (IteratedLorentz, Lebesgue, Mixed, lp_norm, norm_of_values,
-                           parse_norm)
+from ineqkit.norms import (IteratedLorentz, Lebesgue, Lorentz, Mixed, lp_norm,
+                           norm_of_values, parse_norm)
 from ineqkit.smoothness import (BesovSpec, besov_seminorm, difference,
                                 difference_norms, modulus, ulyanov_pointwise,
                                 ulyanov_tail)
@@ -119,6 +119,30 @@ def _support_cases(grid):
             GridFunction(grid, edge)]
 
 
+def _crop_keeps_the_bits(base, axis, dim):
+    """Whether the crop drops only zeros that no float operation of the norm sees.
+
+    A 1-d base is never cropped, and a Lorentz norm drops zeros before it
+    sorts.  Mix(k; Leb; Lor) shifted along k keeps every line whole, sums it
+    along k as before, and its outer Lorentz norm drops the zero lines.
+    """
+    return (dim == 1 or isinstance(base, Lorentz)
+            or (isinstance(base, Mixed) and base.axis == axis
+                and isinstance(base.inner, Lebesgue) and isinstance(base.outer, Lorentz)))
+
+
+def _crop_rounding_bound(base, size):
+    """Relative gap allowed between a norm on the support box and on the whole array.
+
+    Each route sums at most size nonnegative terms pairwise, within about
+    ceil(log2 size) eps of the exact sum, so the two differ by at most twice
+    that; a Lorentz root 1/r scales the relative error by 1/r.
+    """
+    parts = (base.inner, base.outer) if isinstance(base, Mixed) else (base,)
+    scale = max([1.0] + [1.0 / part.r for part in parts if isinstance(part, Lorentz)])
+    return 2 * math.ceil(math.log2(size)) * np.finfo(float).eps * scale
+
+
 @pytest.mark.parametrize("grid, bases", [
     # 512 points: the in-box shifts span several batches of the 1-d kernel
     (grid, _oracle_bases(grid.dim))
@@ -134,10 +158,39 @@ def test_difference_norms_match_naive_loop(grid, bases):
                 n = grid.points[axis]
                 seqs = [_reuse_shifts(n)]
                 seqs.append(np.arange(-2 * n, 2 * n + 1) if grid.dim == 1 else _oracle_shifts(n))
+                exact = _crop_keeps_the_bits(base, axis, grid.dim)
                 for ms in seqs:
                     got = difference_norms(f, axis, ms, base)
                     want = _naive_difference_norms(f, axis, ms, base)
-                    assert np.array_equal(got, want), f"{text} axis {axis} shifts {ms}"
+                    msg = f"{text} axis {axis} shifts {ms}"
+                    if exact:
+                        assert np.array_equal(got, want), msg
+                    else:
+                        np.testing.assert_allclose(
+                            got, want, rtol=_crop_rounding_bound(base, f.values.size),
+                            atol=0.0, err_msg=msg)
+
+
+def test_every_base_is_reduced_on_the_support_box(monkeypatch):
+    # one crop rule: the bounding box of the nonzero samples along every axis
+    # but the shift axis, whatever the base
+    grid = GridSpec.box(3, 4.0, 8)
+    values = np.zeros(grid.shape)
+    values[2:5, 1:3, 4:7] = 1.0 + np.arange(18.0).reshape(3, 2, 3)
+    f = GridFunction(grid, values)
+    shapes = []
+    reduce = smoothness._reduce
+
+    def spy(a, base):
+        shapes.append(a.shape)
+        return reduce(a, base)
+
+    monkeypatch.setattr(smoothness, "_reduce", spy)
+    for text in ("Leb(1)", "Lor(1.5,1)", "Mix(0;Leb(1);Lor(1.5,1))", "Mix(2;Lor(2,1.5);Leb(1.5))"):
+        for axis, box in enumerate([(8, 2, 3), (3, 8, 3), (3, 2, 8)]):
+            shapes.clear()
+            difference_norms(f, axis, np.array([1, -2, 8]), parse_norm(text))
+            assert shapes == [box] * 3, f"{text} axis {axis}"
 
 
 @pytest.mark.parametrize("grid", [GridSpec.box(1, 8.0, 128), GridSpec.box(2, 4.0, 16),

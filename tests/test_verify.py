@@ -260,6 +260,14 @@ def test_report_fields(small_run):
     assert "runtime" not in d and "dilation" not in d
 
 
+def test_drift_of_an_infinite_maximum_is_infinite():
+    # an entry whose maximum ratio is infinite on both grids is not stable
+    assert verify._drift(math.inf, math.inf) == math.inf
+    assert verify._drift(math.inf, 2.0) == verify._drift(2.0, math.nan) == math.inf
+    assert verify._drift(0.0, 0.0) == 0.0
+    assert verify._drift(2.0, 2.5) == 0.25
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_evaluates_the_specs_it_is_given(jobs):
     # a spec need not be the registry's copy: its params and id are used as given
@@ -350,7 +358,7 @@ def test_sweep_memo_is_small_and_gone_before_any_spectrum(monkeypatch):
                                     ("share", 2.0, True), ("share", 4.0, False)]
     assert all(memo is memos[0] for memo in memos)
     assert 0 < sum(part.nbytes for reductions in memos[0].values()
-                   for part, _ in reductions.values()) <= 4e6
+                   for part in reductions.values()) <= 4e6
     # the fine sample's spectra come after the memo is gone
     detached = events.index(("share", fine, False))
     spectra = [i for i, (kind, spec, _) in enumerate(events)
