@@ -13,11 +13,12 @@ SpectralFunction holds the rfftn half spectrum: every axis in FFT order
 (index k holds the node k h for k < N/2 and (k - N) h from N/2 on), the last
 axis only k = 0..N/2.  The other half is the point reflection of the stored
 one.  No consumer builds it: each reads the reflection by symmetry, and the
-planes k_last = 0 and N/2 are their own reflections.  transform runs rfftn
-on the samples as they are, and the sign (-1)^(k_0 + ... + k_(n-1)) turns
-that into the spectrum of the centered samples in the pass that scales by
-the cell volume (_alternate); every inverse runs irfftn behind the same
-sign.
+planes k_last = 0 and N/2 are their own reflections.  transform runs
+numpy's pocketfft on the samples as they are, one axis at a time and in
+place on the half spectrum (_rfftn), and the sign (-1)^(k_0 + ... + k_(n-1))
+turns that into the spectrum of the centered samples in the pass that scales
+by the cell volume (_alternate); every inverse runs the axis-wise inverse
+behind the same sign (_irfftn).  numpy is the one dependency.
 
 On top of the transform: Riesz multipliers and the H^1 norm, the cone
 comparison of the Poisson extension's t-derivative with its conjugate
@@ -54,7 +55,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .gridfn import GridFunction, GridSpec, _check_axis, _owned
 from .norms import lp_norm
@@ -174,9 +174,9 @@ def _alternate(a: np.ndarray, c) -> np.ndarray:
 def transform(f: GridFunction) -> SpectralFunction:
     """Samples of the Fourier transform of f on the half spectrum of the dual grid.
 
-    scipy.fft.rfftn runs on the samples as they are, and _alternate turns
-    that into the spectrum of the centered samples while it scales by the
-    cell volume.  The result agrees with the rolled numpy.fft.fftn route up
+    _rfftn runs on the samples as they are, and _alternate turns that into
+    the spectrum of the centered samples while it scales by the cell
+    volume.  The result agrees with the rolled numpy.fft.fftn route up
     to rounding (a few epsilon of max|F|).  f is immutable, so the result is
     cached on f itself: every later call with the same object (the Riesz
     transforms of h1_norm, the other functionals of one corpus member)
@@ -186,15 +186,29 @@ def transform(f: GridFunction) -> SpectralFunction:
     """
     F = vars(f).get("_spectrum")
     if F is None:
-        half = _alternate(scipy.fft.rfftn(f.values), f.spec.cell_volume)
+        half = _alternate(_rfftn(f.values), f.spec.cell_volume)
         F = _owned(SpectralFunction, dual_grid(f.spec), half)
         vars(f)["_spectrum"] = F  # f is frozen: bypass its __setattr__
     return F
 
 
+def _rfftn(values: np.ndarray) -> np.ndarray:
+    """The rfftn half spectrum of real values: rfft along the last axis, then fft in place along the others, last to first."""
+    half = np.fft.rfft(values, axis=-1)
+    for axis in range(values.ndim - 2, -1, -1):
+        np.fft.fft(half, axis=axis, out=half)
+    return half
+
+
 def _irfftn(half: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """irfftn of a half spectrum that carries the sign of _alternate, over the cell volume; overwrites half."""
-    vals = scipy.fft.irfftn(half, s=spec.shape, overwrite_x=True)
+    """irfftn of a half spectrum that carries the sign of _alternate, over the cell volume; overwrites half.
+
+    ifft runs in place along the leading axes, then irfft along the last
+    one allocates the real samples.
+    """
+    for axis in range(half.ndim - 1):
+        np.fft.ifft(half, axis=axis, out=half)
+    vals = np.fft.irfft(half, n=spec.shape[-1], axis=-1)
     return np.divide(vals, spec.cell_volume, out=vals)
 
 
@@ -300,30 +314,54 @@ def _ball_maximum(values: np.ndarray, spec: GridSpec, radius: float) -> np.ndarr
     contribute.  radius below the spacing returns values unchanged.
 
     The ball is a union of 1-d windows along the last axis, one per offset
-    of the other axes.  Each offset reads a view of one copy of values
-    padded with -inf along those axes, by at most N - 1 cells (a larger
-    offset leaves the box), and filters it along the last axis; "nearest"
-    padding there never wins, since it repeats the window's in-box edge.
-    scipy.ndimage is imported here, so the runs that never reach the cone
-    check do not import it.
+    of the other axes, by at most N - 1 cells (a larger offset leaves the
+    box).  The window's half width depends only on the offset's length, so
+    each width's window maximum along the last axis is taken once
+    (_window_maxima), and every offset of that width reads the in-box part
+    of it, shifted by the offset.
     """
-    from scipy.ndimage import maximum_filter1d
-
     if radius >= math.hypot(*(2.0 * L for L in spec.half_extents)):
         return np.full_like(values, values.max())
     head = spec.spacing[:-1]
     reach = [min(int(radius / s + 1e-9), n - 1) for s, n in zip(head, values.shape)]
-    padded = np.pad(values, [(r, r) for r in reach] + [(0, 0)], constant_values=-np.inf)
-    out = np.full_like(values, -np.inf)
+    widths = {}
     for offset in itertools.product(*(range(-r, r + 1) for r in reach)):
         d2 = sum((o * s) ** 2 for o, s in zip(offset, head))
         if d2 > radius * radius * (1 + 1e-12):
             continue
         w = int(math.sqrt(max(radius * radius - d2, 0.0)) / spec.spacing[-1] + 1e-9)
-        view = padded[tuple(slice(r + o, r + o + n)
-                            for r, o, n in zip(reach, offset, values.shape))]
-        np.maximum(out, maximum_filter1d(view, 2 * w + 1, axis=-1, mode="nearest"), out=out)
+        widths.setdefault(w, []).append(offset)
+    out = np.full_like(values, -np.inf)
+    for w, window in _window_maxima(values, widths):
+        for offset in widths[w]:
+            src = tuple(slice(max(o, 0), n + min(o, 0)) for o, n in zip(offset, values.shape))
+            dst = tuple(slice(max(-o, 0), n + min(-o, 0)) for o, n in zip(offset, values.shape))
+            np.maximum(out[dst], window[src], out=out[dst])
     return out
+
+
+def _window_maxima(a: np.ndarray, widths):
+    """(w, the max of a over the indices [i - w, i + w] along the last axis, clipped to the array), w ascending.
+
+    A window of 2w + 1 cells is the union of two runs of p cells, one at
+    each end, for the largest power of 2 p <= 2w + 1.  The run maxima are
+    one table, a copy of a padded with -inf by the largest width, whose
+    run length doubles in one pass of np.maximum as the widths grow; each
+    width then takes one more pass.  A max is exact, so each window
+    maximum equals maximum_filter1d(a, 2w + 1, mode="nearest") bit for
+    bit: a repeated edge, like -inf, never raises a window's max.
+    """
+    widths = sorted(widths)
+    n, top = a.shape[-1], widths[-1]
+    runs = np.full(a.shape[:-1] + (n + 2 * top,), -np.inf)
+    runs[..., top:top + n] = a
+    p = 1  # runs[..., i] is the max of the p padded cells from i on
+    for w in widths:
+        while 2 * p <= 2 * w + 1:
+            runs = np.maximum(runs[..., :-p], runs[..., p:])
+            p *= 2
+        end = top + w + 1 - p
+        yield w, np.maximum(runs[..., top - w:top - w + n], runs[..., end:end + n])
 
 
 def cone_derivative_check(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:

@@ -66,10 +66,14 @@ def _is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _check_axis(axis, dim: int) -> None:
-    """Reject an axis that is not an integer in [0, dim); numpy integers pass, bools do not."""
+def _check_axis(axis, dim: float = math.inf) -> None:
+    """Reject an axis that is not an integer in [0, dim); numpy integers pass, bools do not.
+
+    Without dim, as in a spec built before its grid is known, every integer
+    >= 0 passes.
+    """
     if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not 0 <= axis < dim:
-        raise ValueError(f"axis {axis!r} out of range for dim {dim}")
+        raise ValueError(f"axis {axis!r} out of range [0, {dim})")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .gridfn import GridFunction
+from .gridfn import GridFunction, _check_axis
 from .rearrange import iterated_rearrangement
 
 __all__ = [
@@ -74,8 +74,7 @@ class Mixed:
     outer: Union[Lebesgue, Lorentz]
 
     def __post_init__(self):
-        if self.axis < 0:
-            raise ValueError("axis must be nonnegative")
+        _check_axis(self.axis)
         for part in (self.inner, self.outer):
             if isinstance(part, (Mixed, IteratedLorentz)):
                 raise ValueError("mixed norms nest at most one level")
@@ -329,8 +328,7 @@ def _check_values_spec(grid, spec) -> None:
         raise TypeError(f"unsupported norm spec for raw arrays: {spec!r}")
     if grid.dim < 2:
         raise ValueError("mixed norms need dim >= 2")
-    if not spec.axis < grid.dim:
-        raise ValueError(f"axis {spec.axis} out of range for dim {grid.dim}")
+    _check_axis(spec.axis, grid.dim)
     for part, name in ((spec.inner, "inner"), (spec.outer, "outer")):
         if not isinstance(part, (Lebesgue, Lorentz)):
             raise TypeError(f"{name} norm must be Lebesgue or Lorentz, got {part!r}")

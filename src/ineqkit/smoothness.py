@@ -350,8 +350,7 @@ class BesovSpec:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (self.theta >= 1 and np.isfinite(self.theta)):
             raise ValueError(f"theta must be finite and >= 1, got {self.theta}")
-        if self.axis < 0:
-            raise ValueError("axis must be nonnegative")
+        _check_axis(self.axis)
         if self.h_max is not None and not 0 < self.h_max < math.inf:
             raise ValueError(f"h_max must be finite and positive, got {self.h_max}")
 
@@ -379,8 +378,7 @@ def besov_seminorm(f: GridFunction, spec: BesovSpec, deriv: GridFunction,
     axis spacing raises ValueError.
     """
     grid = f.spec
-    if not spec.axis < grid.dim:
-        raise ValueError(f"axis {spec.axis} out of range for dim {grid.dim}")
+    _check_axis(spec.axis, grid.dim)
     step = grid.spacing[spec.axis]
     h_max = spec.h_max if spec.h_max is not None else 4.0 * max(grid.half_extents)
     if step >= h_max:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import map_coordinates, maximum_filter1d
 
 from ineqkit import fourier, verify
 from ineqkit.fourier import (SpectralFunction, cone_derivative_check,
@@ -190,7 +190,7 @@ def _half_riesz(full, j, spec):
     q = _division_riesz_multiplier(full.spec, j).imag
     q[(slice(None),) * j + (0,)] = 0.0
     half = _half(full.values * q)
-    return scipy.fft.irfftn(half * (1j * _centering_signs(half.shape)), s=spec.shape) / spec.cell_volume
+    return fourier._irfftn(half * (1j * _centering_signs(half.shape)), spec)
 
 
 def _centering_signs(shape):
@@ -211,10 +211,10 @@ def _riesz_symbol(spec, j):
 
 
 def _two_pass_riesz(f, j):
-    """The Riesz transform as F q, then _alternate(., 1j), irfftn and the division by the cell volume."""
+    """The Riesz transform as F q, then _alternate(., 1j), and _irfftn with its division by the cell volume."""
     F = transform(f)
     half = fourier._alternate(F.values * _riesz_symbol(F.spec, j), 1j)
-    return scipy.fft.irfftn(half, s=f.spec.shape) / f.spec.cell_volume
+    return fourier._irfftn(half, f.spec)
 
 
 def _where_weighted_integral(F, gamma):
@@ -336,6 +336,19 @@ def test_uneven_grids_match_oracles(half_extents, points):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _check_riesz_and_h1(f)
+
+
+def test_fft_route_matches_scipy_fft(corpus1, corpus2, corpus3):
+    # numpy's axis-wise pocketfft against scipy.fft's n-d transforms, on
+    # default members of every dimension and on the uneven grids
+    fs = [f.values for f in _oracle_inputs(corpus1, corpus2, corpus3)]
+    fs += [_uneven_sample(*grid).values for grid in UNEVEN_GRIDS]
+    for vals in fs:
+        half = fourier._rfftn(vals)
+        _assert_within(half, scipy.fft.rfftn(vals), TRANSFORM_ULPS)
+        spec = GridSpec(vals.ndim, (1.0,) * vals.ndim, vals.shape)
+        inverse = scipy.fft.irfftn(half, s=vals.shape) / spec.cell_volume
+        _assert_within(fourier._irfftn(half.copy(), spec), inverse, TRANSFORM_ULPS)
 
 
 def test_riesz_equals_the_two_pass_route_bit_for_bit(corpus1, corpus2, corpus3):
@@ -519,6 +532,22 @@ def test_ball_maximum_matches_brute_force(dim):
     vals = rng.uniform(0.0, 1.0, grid.shape)
     assert np.array_equal(fourier._ball_maximum(vals, grid, radius),
                           _brute_ball_maximum(vals, grid, radius))
+
+
+def test_window_maxima_match_maximum_filter1d():
+    # every window from one cell to past twice the axis, all at once and one
+    # at a time, on odd and even lengths and on a strided view
+    rng = np.random.default_rng(5)
+    for shape in [(1,), (9,), (3, 16), (2, 3, 13)]:
+        vals = rng.uniform(-1.0, 1.0, shape)
+        widths = range(2 * shape[-1] + 2)
+        for a in (vals, vals[..., ::-1]):
+            runs = list(fourier._window_maxima(a, widths[::-1]))
+            assert [w for w, _ in runs] == list(widths)
+            runs += [next(fourier._window_maxima(a, [w])) for w in widths]
+            for w, got in runs:
+                want = maximum_filter1d(a, 2 * w + 1, axis=-1, mode="nearest")
+                assert np.array_equal(got, want)
 
 
 def test_ball_maximum_small_and_huge_radius(grid2):

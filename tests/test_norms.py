@@ -52,6 +52,15 @@ def test_spec_validation():
         IteratedLorentz(0.5, 1.0)
 
 
+def test_mixed_checks_its_axis_like_the_grid_functions():
+    # a fractional or boolean axis is rejected at construction, not by a
+    # TypeError deep in the first evaluation; numpy integers pass
+    for axis in (0.5, 1.0, False, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            Mixed(axis, Lebesgue(1.0), Lebesgue(2.0))
+    assert Mixed(np.int64(1), Lebesgue(1.0), Lebesgue(2.0)).axis == 1
+
+
 # -- Lorentz closed forms ----------------------------------------------------
 
 

@@ -390,6 +390,15 @@ def test_besov_spec_validation():
             BesovSpec(0.5, 2.0, 0, Lebesgue(2.0), **{option: 1.5})
 
 
+def test_besov_spec_checks_its_axis_like_the_grid_functions():
+    # a fractional or boolean axis is rejected at construction, not by a
+    # TypeError deep in the first evaluation; numpy integers pass
+    for axis in (1.5, 0.0, True, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            BesovSpec(0.5, 2.0, axis, Lebesgue(1.0))
+    assert BesovSpec(0.5, 2.0, np.int64(1), Lebesgue(1.0)).axis == 1
+
+
 def test_besov_seminorm_rejects_empty_resolved_window(corpus1):
     member = corpus1[0]
     step = member.grid.spacing[0]
